@@ -2,6 +2,11 @@
 // image equality against the software pipelines (the repo's analogue of the
 // paper's RTL validation), timing sanity, and configuration errors.
 
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -115,6 +120,157 @@ TEST(HwGaussian, CountersPopulated) {
   EXPECT_GT(r.counters.get(sim::ops::kBufRead), 0u);
   EXPECT_EQ(r.counters.get(sim::ops::kPairsProcessed), r.pairs_evaluated);
   EXPECT_EQ(r.counters.get(sim::ops::kFp32Div), 0u);
+}
+
+// ------------------------------------------------------- Golden frames --
+
+/// FNV-1a over the image's float bits.
+std::uint64_t image_hash(const Image& image) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Vec3f& px : image.pixels()) {
+    for (const float v : {px.x, px.y, px.z}) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      for (int b = 0; b < 4; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+pipeline::BlendParams blend_alpha_min_zero() {
+  pipeline::BlendParams p;
+  p.alpha_min = 0.0f;
+  return p;
+}
+
+pipeline::BlendParams blend_tight() {
+  pipeline::BlendParams p;
+  p.alpha_min = 0.05f;
+  p.alpha_max = 0.9f;
+  p.transmittance_min = 1e-2f;
+  return p;
+}
+
+using CounterMap = std::map<std::string, std::uint64_t, std::less<>>;
+
+/// One hardware frame's modeled outputs, recorded from the per-op counting
+/// PE walk. Restructuring the hardware model must reproduce every value.
+struct GoldenFrame {
+  const char* name;
+  RasterizerConfig config;
+  pipeline::BlendParams blend;
+  CounterMap counters;
+  std::uint64_t pairs_evaluated;
+  std::uint64_t pairs_blended;
+  std::size_t tile_loads;
+  std::uint64_t tile_pairs;
+  std::uint64_t fill_bytes;
+  sim::Cycle makespan_cycles;
+  sim::Cycle stall_cycles;
+  std::uint64_t image_hash;
+};
+
+std::vector<GoldenFrame> golden_frames() {
+  const RasterizerConfig s300 = RasterizerConfig::scaled300();
+  const RasterizerConfig p16 = RasterizerConfig::prototype16();
+  const RasterizerConfig h16 = RasterizerConfig::fp16(16);
+  const pipeline::BlendParams def;
+  const pipeline::BlendParams all = blend_alpha_min_zero();
+  const pipeline::BlendParams tight = blend_tight();
+  // Counter maps shared by configs whose datapath precision matches.
+  const CounterMap fp32_def{
+      {"buf.read", 3147500u}, {"buf.write", 3102500u},
+      {"fp32.add", 1270232u}, {"fp32.cmp", 881888u},
+      {"fp32.exp", 285819u},  {"fp32.mul", 2183859u},
+      {"pe.pairs", 310250u},  {"pe.primitives", 1250u}};
+  const CounterMap fp32_all{
+      {"buf.read", 3147500u}, {"buf.write", 3102500u},
+      {"fp32.add", 2384276u}, {"fp32.cmp", 881888u},
+      {"fp32.exp", 285819u},  {"fp32.mul", 3576414u},
+      {"pe.pairs", 310250u},  {"pe.primitives", 1250u}};
+  const CounterMap fp32_tight{
+      {"buf.read", 3112020u}, {"buf.write", 3067020u},
+      {"fp32.add", 1241008u}, {"fp32.cmp", 871902u},
+      {"fp32.exp", 282600u},  {"fp32.mul", 2140562u},
+      {"pe.pairs", 306702u},  {"pe.primitives", 1250u}};
+  return {
+      {"scaled300/default", s300, def, fp32_def, 310250u, 7308u, 18u,
+       310250u, 118728u, 4952u, 2265u, 0x62d3149837b315f2u},
+      {"scaled300/alpha_min=0", s300, all, fp32_all, 310250u, 285819u, 18u,
+       310250u, 118728u, 4952u, 2265u, 0x88b05d7dde4f621du},
+      {"scaled300/tight", s300, tight, fp32_tight, 306702u, 3550u, 18u,
+       306702u, 118728u, 4860u, 2265u, 0x25481cbe49408ef6u},
+      {"prototype16/default", p16, def, fp32_def, 310250u, 7308u, 18u,
+       310250u, 118728u, 19723u, 260u, 0x62d3149837b315f2u},
+      {"prototype16/alpha_min=0", p16, all, fp32_all, 310250u, 285819u, 18u,
+       310250u, 118728u, 19723u, 260u, 0x88b05d7dde4f621du},
+      {"prototype16/tight", p16, tight, fp32_tight, 306702u, 3550u, 18u,
+       306702u, 118728u, 19502u, 260u, 0x25481cbe49408ef6u},
+      {"fp16/default", h16, def,
+       CounterMap{{"buf.read", 3125000u}, {"buf.write", 3102500u},
+                  {"fp32.add", 1270224u}, {"fp32.cmp", 881888u},
+                  {"fp32.exp", 285819u},  {"fp32.mul", 2183849u},
+                  {"pe.pairs", 310250u},  {"pe.primitives", 1250u}},
+       310250u, 7306u, 18u, 310250u, 59364u, 5161u, 241u,
+       0xc438cb873c11ab8bu},
+      {"fp16/alpha_min=0", h16, all,
+       CounterMap{{"buf.read", 3125000u}, {"buf.write", 3102500u},
+                  {"fp32.add", 2384276u}, {"fp32.cmp", 881888u},
+                  {"fp32.exp", 285819u},  {"fp32.mul", 3576414u},
+                  {"pe.pairs", 310250u},  {"pe.primitives", 1250u}},
+       310250u, 285819u, 18u, 310250u, 59364u, 5161u, 241u,
+       0x916f6176d2dee78au},
+      {"fp16/tight", h16, tight,
+       CounterMap{{"buf.read", 3089520u}, {"buf.write", 3067020u},
+                  {"fp32.add", 1241008u}, {"fp32.cmp", 871902u},
+                  {"fp32.exp", 282600u},  {"fp32.mul", 2140562u},
+                  {"pe.pairs", 306702u},  {"pe.primitives", 1250u}},
+       306702u, 3550u, 18u, 306702u, 59364u, 5106u, 241u,
+       0x3d05becf15bc9fc7u},
+  };
+}
+
+TEST(HwGaussian, GoldenFramesReproduceRecordedModel) {
+  // 72x52 leaves partial tiles on the right and bottom edges.
+  Workbench wb(800, 72, 52);
+  // Negating every 13th conic makes it negative definite, so those splats'
+  // pairs take the power > 0 guard that projected splats never reach.
+  std::vector<pipeline::Splat2D> splats = wb.frame.splats;
+  for (std::size_t i = 0; i < splats.size(); i += 13) {
+    auto& c = splats[i].conic;
+    c = {-c.a, -c.b, -c.c};
+  }
+  for (const GoldenFrame& g : golden_frames()) {
+    SCOPED_TRACE(g.name);
+    const HwRasterResult r = HardwareRasterizer(g.config).rasterize_gaussians(
+        splats, wb.frame.workload, g.blend);
+    EXPECT_EQ(r.counters.all(), g.counters);
+    EXPECT_EQ(r.pairs_evaluated, g.pairs_evaluated);
+    EXPECT_EQ(r.pairs_blended, g.pairs_blended);
+    std::uint64_t tile_pairs = 0, fill_bytes = 0;
+    for (const TileLoad& load : r.tile_loads) {
+      tile_pairs += load.pairs;
+      fill_bytes += load.fill_bytes;
+    }
+    EXPECT_EQ(r.tile_loads.size(), g.tile_loads);
+    EXPECT_EQ(tile_pairs, g.tile_pairs);
+    EXPECT_EQ(fill_bytes, g.fill_bytes);
+    EXPECT_EQ(r.timing.makespan_cycles, g.makespan_cycles);
+    EXPECT_EQ(r.timing.stall_cycles, g.stall_cycles);
+    EXPECT_EQ(image_hash(r.image), g.image_hash);
+    if (g.config.precision == Precision::kFp32) {
+      const Image reference =
+          pipeline::rasterize(splats, wb.frame.workload, g.blend);
+      ASSERT_EQ(r.image.pixels().size(), reference.pixels().size());
+      EXPECT_EQ(std::memcmp(r.image.pixels().data(),
+                            reference.pixels().data(),
+                            reference.pixels().size() * sizeof(Vec3f)),
+                0);
+    }
+  }
 }
 
 // ----------------------------------------------------------- Triangles --
