@@ -74,15 +74,15 @@ EnergyBreakdown EnergyModel::from_pair_statistics(
     std::uint64_t pairs, double blended_fraction,
     std::uint64_t primitive_fetches, double runtime_ms) const {
   GAURAST_CHECK(blended_fraction >= 0.0 && blended_fraction <= 1.0);
-  // Ops per fully-blended pair and per early-rejected pair, from the PE
-  // datapath inventory (core/pe.hpp). Rejected pairs stop after the alpha
-  // threshold: 4 adds, 7 muls, 1 exp, ~2 cmps.
-  const GaussianPairOps full{};
+  // Ops per fully-blended pair from the PE datapath inventory (core/pe.hpp).
+  // Rejected pairs stop after the alpha threshold: 4 adds, 7 muls, 1 exp,
+  // ~2 cmps (this statistical model's own figure; the PE charges 3).
+  const GaussianPairOps& full = gaussian_pair_ops(GaussianOutcome::kBlended);
   const double pj_full =
       static_cast<double>(full.adds) * op_energy_pj(sim::ops::kFp32Add) +
       static_cast<double>(full.muls) * op_energy_pj(sim::ops::kFp32Mul) +
       static_cast<double>(full.exps) * op_energy_pj(sim::ops::kFp32Exp) +
-      static_cast<double>(full.cmps + 1) * op_energy_pj(sim::ops::kFp32Cmp);
+      static_cast<double>(full.cmps) * op_energy_pj(sim::ops::kFp32Cmp);
   const double pj_reject =
       4.0 * op_energy_pj(sim::ops::kFp32Add) +
       7.0 * op_energy_pj(sim::ops::kFp32Mul) +
@@ -119,12 +119,12 @@ double EnergyModel::typical_module_power_w() const {
   const double pairs_per_s = static_cast<double>(config_.pes_per_module) *
                              config_.pairs_per_cycle_per_pe() *
                              config_.clock_ghz * 1e9;
-  const GaussianPairOps full{};
+  const GaussianPairOps& full = gaussian_pair_ops(GaussianOutcome::kBlended);
   const double pj_pair =
       (static_cast<double>(full.adds) * op_energy_pj(sim::ops::kFp32Add) +
        static_cast<double>(full.muls) * op_energy_pj(sim::ops::kFp32Mul) +
        static_cast<double>(full.exps) * op_energy_pj(sim::ops::kFp32Exp) +
-       static_cast<double>(full.cmps + 1) * op_energy_pj(sim::ops::kFp32Cmp) +
+       static_cast<double>(full.cmps) * op_energy_pj(sim::ops::kFp32Cmp) +
        kBufferBytesPerPair * table_.sram_pj_per_byte) *
       (1.0 + table_.control_overhead);
   return pairs_per_s * pj_pair * 1e-12 + table_.module_leakage_w;

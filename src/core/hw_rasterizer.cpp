@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "core/pe.hpp"
@@ -15,6 +16,73 @@ namespace {
 /// evenly between read and write for the counters).
 constexpr std::uint64_t kPairStateReadBytes = 10;
 constexpr std::uint64_t kPairStateWriteBytes = 10;
+
+/// What one walk over a Gaussian tile workload counted.
+struct GaussianTally {
+  GaussianOutcomeCounts outcomes{};  ///< pairs per datapath branch
+  std::uint64_t primitives = 0;      ///< tile-list entries fetched
+};
+
+/// Runs every pixel of every non-empty tile through the PE datapath at
+/// precision P, writing `image` and appending one TileLoad per tile. Counts
+/// in plain integers; the caller charges the CounterSet once per frame.
+template <Precision P>
+GaussianTally walk_gaussian_tiles(const std::vector<pipeline::Splat2D>& splats,
+                                  const pipeline::TileWorkload& work,
+                                  const pipeline::BlendParams& params,
+                                  const RasterizerConfig& config, Image& image,
+                                  std::vector<TileLoad>& tile_loads) {
+  const pipeline::TileGrid& grid = work.grid;
+  const std::uint64_t prim_bytes = gaussian_primitive_bytes(P);
+  const std::uint64_t tile_state_bytes =
+      static_cast<std::uint64_t>(config.pixels_per_tile()) *
+      pixel_state_bytes(P);
+  GaussianTally tally;
+
+  const int tiles_x = grid.tiles_x();
+  const int tiles_y = grid.tiles_y();
+
+  for (int ty = 0; ty < tiles_y; ++ty) {
+    for (int tx = 0; tx < tiles_x; ++tx) {
+      const std::uint32_t tile_id =
+          static_cast<std::uint32_t>(ty) * static_cast<std::uint32_t>(tiles_x) +
+          static_cast<std::uint32_t>(tx);
+      const pipeline::TileRange range = work.ranges[tile_id];
+      if (range.size() == 0) continue;
+
+      TileLoad load;
+      load.fill_bytes = range.size() * prim_bytes + tile_state_bytes;
+      tally.primitives += range.size();
+
+      const int px0 = tx * grid.tile_size;
+      const int py0 = ty * grid.tile_size;
+      const int px1 = std::min(px0 + grid.tile_size, grid.width);
+      const int py1 = std::min(py0 + grid.tile_size, grid.height);
+
+      for (int py = py0; py < py1; ++py) {
+        for (int px = px0; px < px1; ++px) {
+          pipeline::PixelBlendState state;
+          const Vec2f pixel{static_cast<float>(px) + 0.5f,
+                            static_cast<float>(py) + 0.5f};
+          std::uint32_t i = range.begin;
+          for (; i < range.end; ++i) {
+            if (state.transmittance < params.transmittance_min) break;
+            const pipeline::Splat2D& sp =
+                splats[work.instances[i].splat_index];
+            const GaussianOutcome outcome =
+                gaussian_datapath<P>(sp, pixel, state, params).outcome;
+            ++tally.outcomes[static_cast<std::size_t>(outcome)];
+          }
+          load.pairs += i - range.begin;
+          image.at(px, py) =
+              state.accumulated + params.background * state.transmittance;
+        }
+      }
+      tile_loads.push_back(load);
+    }
+  }
+  return tally;
+}
 
 }  // namespace
 
@@ -31,67 +99,37 @@ HwRasterResult HardwareRasterizer::rasterize_gaussians(
                     "workload tiling " << work.grid.tile_size
                                        << " != rasterizer tiling "
                                        << config_.tile_size);
-  const pipeline::TileGrid& grid = work.grid;
   HwRasterResult result;
-  result.image = Image(grid.width, grid.height, params.background);
-
-  const std::size_t prim_bytes = gaussian_primitive_bytes(config_.precision);
-  const std::size_t px_bytes = pixel_state_bytes(config_.precision);
+  result.image = Image(work.grid.width, work.grid.height, params.background);
 
   std::vector<TileLoad> tile_loads;
   tile_loads.reserve(work.ranges.size());
+  const GaussianTally tally =
+      config_.precision == Precision::kFp16
+          ? walk_gaussian_tiles<Precision::kFp16>(splats, work, params, config_,
+                                                  result.image, tile_loads)
+          : walk_gaussian_tiles<Precision::kFp32>(splats, work, params, config_,
+                                                  result.image, tile_loads);
 
-  const int tiles_x = grid.tiles_x();
-  const int tiles_y = grid.tiles_y();
+  const std::uint64_t pairs = std::accumulate(
+      tally.outcomes.begin(), tally.outcomes.end(), std::uint64_t{0});
+  result.pairs_evaluated = pairs;
+  result.pairs_blended =
+      tally.outcomes[static_cast<std::size_t>(GaussianOutcome::kBlended)];
 
-  for (int ty = 0; ty < tiles_y; ++ty) {
-    for (int tx = 0; tx < tiles_x; ++tx) {
-      const std::uint32_t tile_id =
-          static_cast<std::uint32_t>(ty) * static_cast<std::uint32_t>(tiles_x) +
-          static_cast<std::uint32_t>(tx);
-      const pipeline::TileRange range = work.ranges[tile_id];
-      if (range.size() == 0) continue;
+  // The frame's totals, charged once. A counter appears only when non-zero,
+  // except pe.pairs.
+  charge_gaussian_ops(tally.outcomes, result.counters);
+  const auto charge = [&](const char* name, std::uint64_t count) {
+    if (count != 0) result.counters.increment(name, count);
+  };
+  charge(sim::ops::kBufRead,
+         tally.primitives * gaussian_primitive_bytes(config_.precision) +
+             pairs * kPairStateReadBytes);
+  charge(sim::ops::kBufWrite, pairs * kPairStateWriteBytes);
+  charge(sim::ops::kPrimitives, tally.primitives);
+  result.counters.increment(sim::ops::kPairsProcessed, pairs);
 
-      TileLoad load;
-      load.fill_bytes =
-          static_cast<std::uint64_t>(range.size()) * prim_bytes +
-          static_cast<std::uint64_t>(config_.pixels_per_tile()) * px_bytes;
-      result.counters.increment(sim::ops::kBufRead,
-                                static_cast<std::uint64_t>(range.size()) *
-                                    prim_bytes);
-
-      const int px0 = tx * grid.tile_size;
-      const int py0 = ty * grid.tile_size;
-      const int px1 = std::min(px0 + grid.tile_size, grid.width);
-      const int py1 = std::min(py0 + grid.tile_size, grid.height);
-
-      for (int py = py0; py < py1; ++py) {
-        for (int px = px0; px < px1; ++px) {
-          pipeline::PixelBlendState state;
-          const Vec2f pixel{static_cast<float>(px) + 0.5f,
-                            static_cast<float>(py) + 0.5f};
-          for (std::uint32_t i = range.begin; i < range.end; ++i) {
-            if (state.transmittance < params.transmittance_min) break;
-            const pipeline::Splat2D& sp =
-                splats[work.instances[i].splat_index];
-            const GaussianPairResult pr = pe_gaussian_pair(
-                sp, pixel, state, params, config_.precision, result.counters);
-            ++load.pairs;
-            ++result.pairs_evaluated;
-            if (pr.blended) ++result.pairs_blended;
-            result.counters.increment(sim::ops::kBufRead, kPairStateReadBytes);
-            result.counters.increment(sim::ops::kBufWrite,
-                                      kPairStateWriteBytes);
-          }
-          result.image.at(px, py) =
-              state.accumulated + params.background * state.transmittance;
-        }
-      }
-      result.counters.increment(sim::ops::kPrimitives, range.size());
-      tile_loads.push_back(std::move(load));
-    }
-  }
-  result.counters.increment(sim::ops::kPairsProcessed, result.pairs_evaluated);
   result.timing = run_design_timeline(tile_loads, config_);
   result.tile_loads = std::move(tile_loads);
   return result;

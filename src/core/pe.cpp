@@ -1,6 +1,6 @@
 #include "core/pe.hpp"
 
-#include <cmath>
+#include <utility>
 
 #include "common/half.hpp"
 
@@ -14,12 +14,26 @@ using sim::ops::kFp32Div;
 using sim::ops::kFp32Exp;
 using sim::ops::kFp32Mul;
 
-/// Rounds through binary16 when the datapath is FP16; identity for FP32.
-inline float q(float v, Precision p) {
-  return p == Precision::kFp16 ? round_to_half(v) : v;
-}
-
 }  // namespace
+
+void charge_gaussian_ops(const GaussianOutcomeCounts& pairs,
+                         sim::CounterSet& counters) {
+  GaussianPairOps total;
+  for (std::size_t o = 0; o < kGaussianOutcomes; ++o) {
+    total.adds += pairs[o] * kGaussianPairOps[o].adds;
+    total.muls += pairs[o] * kGaussianPairOps[o].muls;
+    total.exps += pairs[o] * kGaussianPairOps[o].exps;
+    total.cmps += pairs[o] * kGaussianPairOps[o].cmps;
+  }
+  const std::pair<const char*, std::uint64_t> charges[] = {
+      {kFp32Add, total.adds},
+      {kFp32Mul, total.muls},
+      {kFp32Exp, total.exps},
+      {kFp32Cmp, total.cmps}};
+  for (const auto& [name, count] : charges) {
+    if (count != 0) counters.increment(name, count);
+  }
+}
 
 GaussianPairResult pe_gaussian_pair(const pipeline::Splat2D& splat,
                                     Vec2f pixel,
@@ -27,62 +41,13 @@ GaussianPairResult pe_gaussian_pair(const pipeline::Splat2D& splat,
                                     const pipeline::BlendParams& params,
                                     Precision precision,
                                     sim::CounterSet& counters) {
-  GaussianPairResult result;
-
-  // Subtask 1 — coordinate shift (2 adders).
-  const float dx = q(pixel.x - splat.mean.x, precision);
-  const float dy = q(pixel.y - splat.mean.y, precision);
-  counters.increment(kFp32Add, 2);
-
-  // Subtask 2 — Gaussian probability: power = -1/2 d^T Conic d.
-  // 6 multipliers + 2 adders, then the dedicated exp unit.
-  const float dx2 = q(dx * dx, precision);
-  const float dy2 = q(dy * dy, precision);
-  const float dxdy = q(dx * dy, precision);
-  const float qa = q(splat.conic.a * dx2, precision);
-  const float qc = q(splat.conic.c * dy2, precision);
-  const float qb = q(splat.conic.b * dxdy, precision);
-  counters.increment(kFp32Mul, 6);
-  const float power =
-      q(-0.5f * q(qa + qc, precision) - qb, precision);
-  counters.increment(kFp32Add, 2);
-
-  // Numerical guard identical to the reference kernel.
-  counters.increment(kFp32Cmp, 1);
-  if (power > 0.0f) return result;
-
-  const float e = q(std::exp(power), precision);
-  counters.increment(kFp32Exp, 1);
-  float alpha = q(splat.opacity * e, precision);
-  counters.increment(kFp32Mul, 1);
-  // Alpha clamp.
-  counters.increment(kFp32Cmp, 1);
-  if (alpha > params.alpha_max) alpha = params.alpha_max;
-  result.alpha = alpha;
-
-  // Threshold: contributions below 1/255 are skipped.
-  counters.increment(kFp32Cmp, 1);
-  if (alpha < params.alpha_min) return result;
-
-  // Subtask 3 — color weight (T * alpha, then per-channel scale).
-  const float w = q(state.transmittance * alpha, precision);
-  counters.increment(kFp32Mul, 1);
-  const Vec3f weighted{q(splat.color.x * w, precision),
-                       q(splat.color.y * w, precision),
-                       q(splat.color.z * w, precision)};
-  counters.increment(kFp32Mul, 3);
-
-  // Subtask 4 — color accumulation and transmittance update.
-  state.accumulated = {q(state.accumulated.x + weighted.x, precision),
-                       q(state.accumulated.y + weighted.y, precision),
-                       q(state.accumulated.z + weighted.z, precision)};
-  counters.increment(kFp32Add, 3);
-  const float one_minus = q(1.0f - alpha, precision);
-  state.transmittance = q(state.transmittance * one_minus, precision);
-  counters.increment(kFp32Add, 1);
-  counters.increment(kFp32Mul, 1);
-
-  result.blended = true;
+  const GaussianPairResult result =
+      precision == Precision::kFp16
+          ? gaussian_datapath<Precision::kFp16>(splat, pixel, state, params)
+          : gaussian_datapath<Precision::kFp32>(splat, pixel, state, params);
+  GaussianOutcomeCounts pairs{};
+  pairs[static_cast<std::size_t>(result.outcome)] = 1;
+  charge_gaussian_ops(pairs, counters);
   return result;
 }
 

@@ -1,7 +1,7 @@
 // Named event counters for hardware activity accounting.
 //
-// Every datapath operation the PE model performs increments a counter here;
-// the EnergyModel converts the final counts into joules. Keeping counting
+// Every datapath operation the PE model performs is counted here; the
+// EnergyModel converts the final counts into joules. Keeping counting
 // separate from energy lets tests assert exact op counts (paper Table II)
 // without touching the energy tables.
 #pragma once
@@ -16,8 +16,9 @@ namespace gaurast::sim {
 
 class CounterSet {
  public:
-  /// Hot path: heterogeneous lookup avoids a std::string allocation per
-  /// increment (the PE model increments several counters per pair).
+  /// Heterogeneous lookup avoids a std::string allocation per increment.
+  /// Each call is still a map lookup, so the Gaussian hardware model counts
+  /// in plain integers and charges its totals once per frame.
   void increment(std::string_view name, std::uint64_t by = 1) {
     const auto it = counters_.find(name);
     if (it != counters_.end()) {

@@ -37,18 +37,6 @@
 #include "runtime/service.hpp"
 #include "scene/generator.hpp"
 
-// Sanitizer instrumentation slows the raster kernels ~20x; the canonical
-// 20k/320x240 bit-identity frame would run for minutes. The property being
-// pinned (routing must not perturb a pixel) is scale-independent, so
-// sanitizer builds pin it on a proportionally smaller frame.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define GAURAST_TEST_SANITIZED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define GAURAST_TEST_SANITIZED 1
-#endif
-#endif
-
 namespace {
 
 using namespace gaurast;
@@ -452,15 +440,11 @@ class Fleet {
 };
 
 TEST(Router, RoutedRenderMatchesDirectServeBitIdentical) {
-#ifdef GAURAST_TEST_SANITIZED
-  constexpr std::uint32_t kGaussians = 3000, kWidth = 160, kHeight = 120;
-#else
   constexpr std::uint32_t kGaussians = 20000, kWidth = 320, kHeight = 240;
-#endif
   runtime::ServiceConfig service_config;
   service_config.workers = 2;
   RouterConfig router_config;
-  router_config.forward_timeout_ms = 180000;  // slow sanitized renders
+  router_config.forward_timeout_ms = 60000;  // slow sanitized renders
   Fleet fleet(2, service_config, router_config);
 
   // The canonical 20k/320x240 frame, routed through the fleet front-end.
@@ -469,7 +453,7 @@ TEST(Router, RoutedRenderMatchesDirectServeBitIdentical) {
   wire.request_id = 9;
   wire.flags = net::kWantImage;
   net::Client routed("127.0.0.1", fleet.router_port(),
-                     /*timeout_ms=*/180000);
+                     /*timeout_ms=*/60000);
   const net::RenderResponse resp = routed.render(wire);
   ASSERT_EQ(resp.status, net::RenderStatus::kOk) << resp.message;
   ASSERT_TRUE(resp.has_image);
@@ -480,7 +464,7 @@ TEST(Router, RoutedRenderMatchesDirectServeBitIdentical) {
   // ground truth.
   const std::size_t owner = *fleet.db().route(wire.scene_key());
   net::Client direct("127.0.0.1", fleet.shard_port(owner),
-                     /*timeout_ms=*/180000);
+                     /*timeout_ms=*/60000);
   const net::RenderResponse direct_resp = direct.render(wire);
   ASSERT_EQ(direct_resp.status, net::RenderStatus::kOk);
 

@@ -49,7 +49,7 @@ TEST(PeGaussian, MatchesSoftwareReferenceExactly) {
     // Hardware path.
     const GaussianPairResult r =
         pe_gaussian_pair(s, pixel, hw, params, Precision::kFp32, counters);
-    EXPECT_EQ(r.blended, blended);
+    EXPECT_EQ(r.blended(), blended);
     // Bit-exact state agreement.
     EXPECT_EQ(hw.transmittance, sw.transmittance);
     EXPECT_EQ(hw.accumulated.x, sw.accumulated.x);
@@ -83,7 +83,7 @@ TEST(PeGaussian, FarPixelRejectsWithoutBlend) {
   const GaussianPairResult r =
       pe_gaussian_pair(s, {100, 100}, state, params, Precision::kFp32,
                        counters);
-  EXPECT_FALSE(r.blended);
+  EXPECT_FALSE(r.blended());
   EXPECT_EQ(state.transmittance, 1.0f);
 }
 
@@ -99,12 +99,12 @@ TEST(PeGaussian, OpCountsMatchInventoryForBlendedPair) {
   const GaussianPairResult r =
       pe_gaussian_pair(s, {0.3f, 0.2f}, state, params, Precision::kFp32,
                        counters);
-  ASSERT_TRUE(r.blended);
-  const GaussianPairOps ops{};
+  ASSERT_TRUE(r.blended());
+  const GaussianPairOps& ops = gaussian_pair_ops(GaussianOutcome::kBlended);
   EXPECT_EQ(counters.get(sim::ops::kFp32Add), ops.adds);
   EXPECT_EQ(counters.get(sim::ops::kFp32Mul), ops.muls);
   EXPECT_EQ(counters.get(sim::ops::kFp32Exp), ops.exps);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Cmp), ops.cmps + 1);
+  EXPECT_EQ(counters.get(sim::ops::kFp32Cmp), ops.cmps);
   EXPECT_EQ(counters.get(sim::ops::kFp32Div), 0u);  // no divider in Gaussian mode
 }
 
@@ -117,8 +117,28 @@ TEST(PeGaussian, RejectedPairCountsFewerOps) {
   pipeline::PixelBlendState state;
   sim::CounterSet counters;
   pe_gaussian_pair(s, {50, 50}, state, params, Precision::kFp32, counters);
-  EXPECT_LT(counters.get(sim::ops::kFp32Mul), GaussianPairOps{}.muls);
+  EXPECT_LT(counters.get(sim::ops::kFp32Mul),
+            gaussian_pair_ops(GaussianOutcome::kBlended).muls);
   EXPECT_EQ(counters.get(sim::ops::kFp32Add), 4u);  // shift + power sum only
+}
+
+TEST(PeGaussian, GuardedPairStopsBeforeExp) {
+  pipeline::Splat2D s;
+  s.mean = {0, 0};
+  s.conic = {-1.0f, 0.0f, -1.0f};  // not positive definite: power > 0
+  s.opacity = 0.9f;
+  s.color = {1, 1, 1};
+  pipeline::BlendParams params;
+  pipeline::PixelBlendState state;
+  sim::CounterSet counters;
+  const GaussianPairResult r =
+      pe_gaussian_pair(s, {1, 1}, state, params, Precision::kFp32, counters);
+  EXPECT_EQ(r.outcome, GaussianOutcome::kGuarded);
+  EXPECT_EQ(state.transmittance, 1.0f);
+  EXPECT_EQ(counters.get(sim::ops::kFp32Add), 4u);
+  EXPECT_EQ(counters.get(sim::ops::kFp32Mul), 6u);
+  EXPECT_EQ(counters.get(sim::ops::kFp32Cmp), 1u);
+  EXPECT_EQ(counters.all().count(sim::ops::kFp32Exp), 0u);
 }
 
 TEST(PeGaussian, Fp16DiffersFromFp32ButStaysClose) {
