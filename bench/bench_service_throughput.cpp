@@ -7,13 +7,8 @@
 // per-frame FPS tables: it measures how far inter-frame parallelism takes
 // the reference pipeline on a multi-core host.
 //
-// --pipeline switches to the execution-mode comparison: the same workload
-// runs once monolithic and once stage-pipelined at EQUAL total worker
-// count (monolithic gets stage_workers.total() pool workers), reporting
-// both modes plus the pipelined/monolithic throughput ratio and the
-// pipelined run's per-stage breakdown. --scene-size pins every request to
-// one scene class (e.g. the canonical 20000-Gaussian scene) so the
-// comparison isolates execution mode, not scene mix.
+// --scene-size pins every request to one scene class (e.g. the canonical
+// 20000-Gaussian scene) instead of the default size mix.
 //
 // --listen-loopback measures what the wire costs: the same request list
 // runs once in-process (client threads calling RenderService::submit
@@ -64,12 +59,6 @@
 //                "points":[{"workers":N,"throughput_mean_fps":...,
 //                           "throughput_best_fps":...,"speedup":...,
 //                           "stats":{...}}]}
-//   --pipeline: {"schema":"gaurast-bench-service-pipeline/v1",
-//                ...same config fields...,"scene_size":...,
-//                "stage_workers":"P,S,R","total_workers":N,
-//                "modes":[{"mode":"monolithic",...},
-//                         {"mode":"pipelined",...}],
-//                "derived":{"pipelined_speedup":...}}
 //   --listen-loopback:
 //               {"schema":"gaurast-bench-service-wire/v1",
 //                ...same config fields...,"workers":W,"clients":C,
@@ -115,8 +104,7 @@
 //                            [--kernel reference|fast]
 //                            [--warmup N] [--repeat N]
 //                            [--width W] [--height H] [--seed S]
-//                            [--scene-size G]
-//                            [--pipeline] [--stage-workers P,S,R]
+//                            [--scene-size G] [--queue Q]
 //                            [--listen-loopback] [--clients C] [--workers W]
 //                            [--fleet N]
 //                            [--faults] [--deadline-ms D] [--fault-plan SPEC]
@@ -125,8 +113,7 @@
 //
 // --backend takes any name in the engine registry (`gaurast_cli backends`);
 // --kernel selects the Step-3 software kernel on backends whose
-// capabilities support kernel selection; --pipeline requires a backend
-// whose capabilities support stage-pipelined execution.
+// capabilities support kernel selection.
 
 #include <algorithm>
 #include <atomic>
@@ -197,15 +184,7 @@ int main(int argc, char** argv) {
   cli.add_flag("scene-size", "0",
                "pin every request to one scene class of this many Gaussians "
                "(0 = default mixed sizes)");
-  cli.add_flag("pipeline", "false",
-               "compare monolithic vs stage-pipelined execution at equal "
-               "total worker count instead of sweeping worker counts");
-  cli.add_flag("stage-workers", "1,1,2",
-               "pipelined worker split preprocess,sort,raster "
-               "(with --pipeline; monolithic runs with the same total)");
-  cli.add_flag("queue", "64",
-               "service queue capacity (request queue; per-stage queues "
-               "under --pipeline)");
+  cli.add_flag("queue", "64", "service request-queue capacity");
   cli.add_flag("listen-loopback", "false",
                "compare in-process submission vs the same requests over a "
                "real loopback TCP socket (net::Server / net::Client)");
@@ -261,33 +240,17 @@ int main(int argc, char** argv) {
     const int warmup = cli.get_int("warmup");
     if (warmup < 0) throw CliParseError("--warmup must be >= 0");
     const int repeat = cli.get_positive_int("repeat");
-    const bool compare_pipeline = cli.get_bool("pipeline");
     const bool listen_loopback = cli.get_bool("listen-loopback");
     const int fleet_shards = cli.get_int("fleet");
     if (fleet_shards < 0) throw CliParseError("--fleet must be >= 0");
     const bool run_faults = cli.get_bool("faults");
     const bool scene_sweep = cli.get_bool("scene-sweep");
-    if ((listen_loopback ? 1 : 0) + (compare_pipeline ? 1 : 0) +
-            (fleet_shards > 0 ? 1 : 0) + (run_faults ? 1 : 0) +
-            (scene_sweep ? 1 : 0) >
+    if ((listen_loopback ? 1 : 0) + (fleet_shards > 0 ? 1 : 0) +
+            (run_faults ? 1 : 0) + (scene_sweep ? 1 : 0) >
         1) {
       throw CliParseError(
-          "--listen-loopback, --pipeline, --fleet, --faults, and "
-          "--scene-sweep are separate comparisons; run them as separate "
-          "invocations");
-    }
-    const runtime::StageWorkers stage_workers =
-        runtime::stage_workers_from_string(cli.get_string("stage-workers"));
-    if (compare_pipeline &&
-        !backend_info.capabilities.supports_stage_pipeline) {
-      const std::vector<std::string> accepting = engine::registry().names_where(
-          [](const engine::Capabilities& c) {
-            return c.supports_stage_pipeline;
-          });
-      throw CliParseError("--pipeline does not apply to --backend " + backend +
-                          " (its stages cannot be invoked separately); "
-                          "backends that accept it: " +
-                          engine::join_names(accepting));
+          "--listen-loopback, --fleet, --faults, and --scene-sweep are "
+          "separate comparisons; run them as separate invocations");
     }
     const int scene_size = cli.get_int("scene-size");
     if (scene_size < 0) throw CliParseError("--scene-size must be >= 0");
@@ -500,7 +463,10 @@ int main(int argc, char** argv) {
                        std::to_string(workers) + " workers, " +
                        std::to_string(clients) + " clients");
 
-      // Interleaved passes, same rationale as the --pipeline comparison.
+      // The two sides run in interleaved pairs (inproc, wire, inproc, wire,
+      // …) rather than as two grouped blocks, so slow machine-state drift
+      // (frequency scaling, page cache) lands on both sides of the ratio
+      // instead of biasing whichever side ran last.
       MeasuredPoint inproc_point;
       double wire_fps_sum = 0.0;
       double wire_fps_best = 0.0;
@@ -1025,81 +991,6 @@ int main(int argc, char** argv) {
            << format_fixed(
                   percentile_ms(faulted_point.best.latencies_ms, 0.99), 4)
            << "}}";
-    } else if (compare_pipeline) {
-      print_banner(std::cout,
-                   "Execution modes, backend " + backend + ", kernel " +
-                       pipeline::to_string(kernel) + ", " +
-                       std::to_string(workload.jobs) + " jobs x " +
-                       std::to_string(repeat) + " passes, " +
-                       std::to_string(stage_workers.total()) +
-                       " total workers (pipelined split " +
-                       to_string(stage_workers) + ")");
-      runtime::ServiceConfig monolithic;
-      monolithic.workers = stage_workers.total();
-      monolithic.backend = backend;
-      monolithic.renderer.kernel = kernel;
-      monolithic.queue_capacity =
-          static_cast<std::size_t>(cli.get_positive_int("queue"));
-      runtime::ServiceConfig pipelined = monolithic;
-      pipelined.mode = runtime::ExecutionMode::kPipelined;
-      pipelined.stage_workers = stage_workers;
-
-      // The two modes run in interleaved pairs (mono, pipe, mono, pipe, …)
-      // rather than as two grouped blocks, so slow machine-state drift
-      // (frequency scaling, page cache) lands on both sides of the ratio
-      // instead of biasing whichever mode ran last.
-      MeasuredPoint mono_point;
-      MeasuredPoint pipe_point;
-      for (int pass = -warmup; pass < repeat; ++pass) {
-        const runtime::ServiceStats mono_stats = run_pass(monolithic);
-        const runtime::ServiceStats pipe_stats = run_pass(pipelined);
-        if (pass < 0) continue;
-        mono_point.add_pass(mono_stats);
-        pipe_point.add_pass(pipe_stats);
-      }
-      mono_point.finalize(repeat);
-      pipe_point.finalize(repeat);
-      const double speedup = mono_point.fps_mean > 0.0
-                                 ? pipe_point.fps_mean / mono_point.fps_mean
-                                 : 0.0;
-
-      TablePrinter table({"Mode", "Workers", "Throughput", "p50", "p95",
-                          "p99", "Utilization"});
-      const auto mode_row = [&table](const std::string& name, int workers,
-                                     const MeasuredPoint& point) {
-        table.add_row({name, std::to_string(workers),
-                       format_fixed(point.fps_mean, 1) + " fps",
-                       format_time_ms(point.best_stats.latency_p50_ms),
-                       format_time_ms(point.best_stats.latency_p95_ms),
-                       format_time_ms(point.best_stats.latency_p99_ms),
-                       format_percent(point.best_stats.worker_utilization)});
-      };
-      mode_row("monolithic", stage_workers.total(), mono_point);
-      mode_row("pipelined", stage_workers.total(), pipe_point);
-      table.print(std::cout);
-      std::cout << "Pipelined/monolithic throughput: "
-                << format_ratio(speedup, 3) << '\n';
-
-      const auto mode_json = [](const std::string& name,
-                                const MeasuredPoint& point) {
-        return "{\"mode\":\"" + name + "\",\"throughput_mean_fps\":" +
-               format_fixed(point.fps_mean, 4) + ",\"throughput_best_fps\":" +
-               format_fixed(point.fps_best, 4) + ",\"stats\":" +
-               runtime::service_stats_json(point.best_stats) + "}";
-      };
-      json << "{\"schema\":\"gaurast-bench-service-pipeline/v1\","
-           << "\"backend\":\"" << backend << "\",\"kernel\":\""
-           << pipeline::to_string(kernel) << "\",\"jobs\":" << workload.jobs
-           << ",\"width\":" << workload.width
-           << ",\"height\":" << workload.height
-           << ",\"seed\":" << workload.seed << ",\"warmup\":" << warmup
-           << ",\"repeat\":" << repeat << ",\"scene_size\":" << scene_size
-           << ",\"stage_workers\":\"" << to_string(stage_workers)
-           << "\",\"total_workers\":" << stage_workers.total()
-           << ",\"modes\":[" << mode_json("monolithic", mono_point) << ","
-           << mode_json("pipelined", pipe_point) << "]"
-           << ",\"derived\":{\"pipelined_speedup\":"
-           << format_fixed(speedup, 4) << "}}";
     } else if (scene_sweep) {
       const int workers = cli.get_positive_int("workers");
       const std::int64_t budget_flag_mb =

@@ -1,4 +1,4 @@
-// cluster fleet stats — merging per-shard `gaurast-serve-stats/v2` reports
+// cluster fleet stats — merging per-shard `gaurast-serve-stats/v3` reports
 // into one `gaurast-fleet-stats/v1` document, the stats encoding the router
 // serves on both the wire (kStatsResponse) and HTTP (/stats).
 //
@@ -68,9 +68,9 @@ struct RouterStatsSnapshot {
   std::vector<double> route_overhead_ms;
 };
 
-/// First top-level occurrence of `"key":<number>` in a flat JSON object —
-/// sufficient for gaurast-serve-stats/v1, whose scalar totals precede the
-/// "stages" array (the only nesting). nullopt when absent or non-numeric.
+/// First occurrence of `"key":<number>` in a flat JSON object — sufficient
+/// for gaurast-serve-stats documents, whose stats are one flat object.
+/// nullopt when absent or non-numeric.
 std::optional<double> extract_json_number(const std::string& json,
                                           const std::string& key);
 

@@ -3,7 +3,7 @@
 // A net::FrameServer accepts ordinary gaurast wire clients; every render
 // request is routed by its scene key through HostDb's rendezvous hash and
 // forwarded to the owning shard over a pooled net::Client, so a scene's
-// precompute/cache affinity lands on exactly one worker. Per shard the
+// cache affinity lands on exactly one worker. Per shard the
 // router keeps a fixed crew of forwarder threads (the in-flight bound) plus
 // a small waiting queue; when both are full the router sheds with
 // kOverloaded — the same admission-control contract the shards themselves

@@ -5,8 +5,8 @@
 // frame's work across N worker threads that live exactly as long as the
 // call; tools/lint_invariants.py forbids naked std::thread outside
 // src/common and src/runtime, so they use this helper instead. Long-lived
-// concurrency (serving, stage pipelines) belongs on runtime::ThreadPool,
-// whose queues are bounded and whose shared state is lock-annotated.
+// concurrency (serving) belongs on runtime::ThreadPool, whose queues are
+// bounded and whose shared state is lock-annotated.
 #pragma once
 
 #include <cstddef>

@@ -79,9 +79,9 @@ class GauRastDevice {
   /// prepare() or the begin_frame/sort_frame stage path): runs the
   /// enhanced-rasterizer model on the frame's sorted workload, writes the
   /// hardware image and pair counters back into `frame`, and returns the
-  /// modeled metrics. render() is exactly prepare + raster_prepared, which
-  /// is what lets a stage-pipelined scheduler overlap Steps 1-2 of one
-  /// frame with Step 3 of another without a second execution path.
+  /// modeled metrics. render() is exactly prepare + raster_prepared, so a
+  /// caller that runs Steps 1-2 itself gets the same frame without a second
+  /// execution path.
   DeviceGaussianFrame raster_prepared(
       pipeline::FrameResult& frame,
       const pipeline::RendererConfig& pipeline_config) const;

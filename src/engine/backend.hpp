@@ -42,11 +42,6 @@ struct Capabilities {
   /// BackendOptions::rasterizer is honored; backends that derive their own
   /// operating point (e.g. the GSCore-matched FP16 sizing) reject it.
   bool accepts_external_rasterizer_config = false;
-  /// Steps 1-3 are separately invokable through stage_preprocess() /
-  /// stage_sort() / stage_raster(), so a frame scheduler can overlap stage
-  /// N of one frame with stage N-1 of the next. Stage execution is
-  /// bit-identical to render() by contract.
-  bool supports_stage_pipeline = false;
   /// Step 3 is a modeled hardware rasterizer; FrameOutput::hw is populated.
   bool is_hardware_model = false;
   /// Datapath precision of the Step-3 executor.
@@ -114,30 +109,6 @@ class RenderBackend {
   virtual FrameOutput render(const scene::GaussianScene& scene,
                              const scene::Camera& camera,
                              const FrameOptions& options) const = 0;
-
-  // Stage-pipelined execution seam, valid when
-  // capabilities().supports_stage_pipeline is set. A frame is exactly
-  //   stage_preprocess -> stage_sort -> stage_raster,
-  // each call free to run on a different thread (the frame state travels by
-  // value through the scheduler's queues), and the composition is
-  // bit-identical to render() by contract. The default implementations
-  // throw gaurast::Error naming the backend.
-
-  /// Step 1: scene -> screen-space splats (plus the background image whose
-  /// dimensions carry the tile grid downstream).
-  virtual pipeline::FrameResult stage_preprocess(
-      const scene::GaussianScene& scene, const scene::Camera& camera,
-      const FrameOptions& options) const;
-
-  /// Step 2: frame.splats -> depth-sorted frame.workload.
-  virtual void stage_sort(pipeline::FrameResult& frame,
-                          const FrameOptions& options) const;
-
-  /// Step 3: rasterizes the sorted workload, consuming the frame state and
-  /// returning the finished output (hardware models attach their modeled
-  /// metrics here, exactly as render() does).
-  virtual FrameOutput stage_raster(pipeline::FrameResult frame,
-                                   const FrameOptions& options) const;
 
   /// The hardware-model operating point, when there is one (lets callers
   /// report PE count/precision without downcasting); nullopt for pure

@@ -11,32 +11,6 @@ const char* precision_name(core::Precision precision) {
   return precision == core::Precision::kFp16 ? "fp16" : "fp32";
 }
 
-namespace {
-
-[[noreturn]] void throw_no_stage_pipeline(const RenderBackend& backend) {
-  throw Error("backend '" + backend.name() +
-              "' does not support stage-pipelined execution (its stages "
-              "cannot be invoked separately)");
-}
-
-}  // namespace
-
-pipeline::FrameResult RenderBackend::stage_preprocess(
-    const scene::GaussianScene&, const scene::Camera&,
-    const FrameOptions&) const {
-  throw_no_stage_pipeline(*this);
-}
-
-void RenderBackend::stage_sort(pipeline::FrameResult&,
-                               const FrameOptions&) const {
-  throw_no_stage_pipeline(*this);
-}
-
-FrameOutput RenderBackend::stage_raster(pipeline::FrameResult,
-                                        const FrameOptions&) const {
-  throw_no_stage_pipeline(*this);
-}
-
 std::string SoftwareBackend::describe() const {
   return "reference software 3DGS pipeline; Steps 1-3 on the host CPU, "
          "Step 3 fans tiles across raster threads and selects the "
@@ -48,7 +22,6 @@ Capabilities SoftwareBackend::capabilities() const {
   caps.supports_raster_threads = true;
   caps.supports_kernel_select = true;
   caps.accepts_external_rasterizer_config = false;
-  caps.supports_stage_pipeline = true;
   caps.is_hardware_model = false;
   caps.default_precision = core::Precision::kFp32;
   return caps;
@@ -60,27 +33,6 @@ FrameOutput SoftwareBackend::render(const scene::GaussianScene& scene,
   const pipeline::GaussianRenderer renderer(options.pipeline);
   FrameOutput out;
   out.frame = renderer.render(scene, camera, options.scene_precompute.get());
-  return out;
-}
-
-pipeline::FrameResult SoftwareBackend::stage_preprocess(
-    const scene::GaussianScene& scene, const scene::Camera& camera,
-    const FrameOptions& options) const {
-  return pipeline::GaussianRenderer(options.pipeline)
-      .begin_frame(scene, camera, options.scene_precompute.get());
-}
-
-void SoftwareBackend::stage_sort(pipeline::FrameResult& frame,
-                                 const FrameOptions& options) const {
-  pipeline::GaussianRenderer(options.pipeline).sort_frame(frame);
-}
-
-FrameOutput SoftwareBackend::stage_raster(pipeline::FrameResult frame,
-                                          const FrameOptions& options) const {
-  pipeline::GaussianRenderer(options.pipeline)
-      .raster_frame(frame, options.scene_precompute.get());
-  FrameOutput out;
-  out.frame = std::move(frame);
   return out;
 }
 
@@ -105,7 +57,6 @@ Capabilities GauRastBackend::capabilities() const {
   caps.supports_raster_threads = false;
   caps.accepts_external_rasterizer_config =
       spec_.accepts_external_rasterizer_config;
-  caps.supports_stage_pipeline = true;
   caps.is_hardware_model = true;
   caps.default_precision = spec_.rasterizer.precision;
   return caps;
@@ -114,31 +65,13 @@ Capabilities GauRastBackend::capabilities() const {
 FrameOutput GauRastBackend::render(const scene::GaussianScene& scene,
                                    const scene::Camera& camera,
                                    const FrameOptions& options) const {
-  // render() is literally the stage composition, so the monolithic and
-  // stage-pipelined paths cannot drift apart.
-  pipeline::FrameResult frame = stage_preprocess(scene, camera, options);
-  stage_sort(frame, options);
-  return stage_raster(std::move(frame), options);
-}
-
-pipeline::FrameResult GauRastBackend::stage_preprocess(
-    const scene::GaussianScene& scene, const scene::Camera& camera,
-    const FrameOptions& options) const {
-  return pipeline::GaussianRenderer(options.pipeline)
-      .begin_frame(scene, camera, options.scene_precompute.get());
-}
-
-void GauRastBackend::stage_sort(pipeline::FrameResult& frame,
-                                const FrameOptions& options) const {
-  pipeline::GaussianRenderer(options.pipeline).sort_frame(frame);
-}
-
-FrameOutput GauRastBackend::stage_raster(pipeline::FrameResult frame,
-                                         const FrameOptions& options) const {
-  const core::DeviceGaussianFrame dev =
-      device_.raster_prepared(frame, options.pipeline);
+  const pipeline::GaussianRenderer renderer(options.pipeline);
   FrameOutput out;
-  out.frame = std::move(frame);
+  out.frame =
+      renderer.begin_frame(scene, camera, options.scene_precompute.get());
+  renderer.sort_frame(out.frame);
+  const core::DeviceGaussianFrame dev =
+      device_.raster_prepared(out.frame, options.pipeline);
   HardwareMetrics hw;
   hw.raster_model_ms = dev.raster_model_ms;
   hw.stage12_model_ms = dev.stage12_model_ms;

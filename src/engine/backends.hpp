@@ -29,13 +29,6 @@ class SoftwareBackend : public RenderBackend {
   FrameOutput render(const scene::GaussianScene& scene,
                      const scene::Camera& camera,
                      const FrameOptions& options) const override;
-  pipeline::FrameResult stage_preprocess(
-      const scene::GaussianScene& scene, const scene::Camera& camera,
-      const FrameOptions& options) const override;
-  void stage_sort(pipeline::FrameResult& frame,
-                  const FrameOptions& options) const override;
-  FrameOutput stage_raster(pipeline::FrameResult frame,
-                           const FrameOptions& options) const override;
 };
 
 class GauRastBackend : public RenderBackend {
@@ -55,20 +48,12 @@ class GauRastBackend : public RenderBackend {
   std::string name() const override { return spec_.name; }
   std::string describe() const override;
   Capabilities capabilities() const override;
+  /// Steps 1-2 run in host software exactly as the software backend's do;
+  /// the depth-sorted workload then goes to the enhanced-rasterizer model
+  /// (GauRastDevice::raster_prepared) for Step 3.
   FrameOutput render(const scene::GaussianScene& scene,
                      const scene::Camera& camera,
                      const FrameOptions& options) const override;
-  // Stages 1-2 run in host software exactly as the software backend's do;
-  // stage_raster hands the sorted workload to the enhanced-rasterizer model
-  // (GauRastDevice::raster_prepared), so the CUDA-collaborative split maps
-  // directly onto the stage pipeline.
-  pipeline::FrameResult stage_preprocess(
-      const scene::GaussianScene& scene, const scene::Camera& camera,
-      const FrameOptions& options) const override;
-  void stage_sort(pipeline::FrameResult& frame,
-                  const FrameOptions& options) const override;
-  FrameOutput stage_raster(pipeline::FrameResult frame,
-                           const FrameOptions& options) const override;
   std::optional<core::RasterizerConfig> rasterizer_config() const override {
     return spec_.rasterizer;
   }

@@ -112,8 +112,11 @@ inline constexpr std::uint32_t kMaxPayloadBytes = 64u * 1024u * 1024u;
 /// (the stats endpoint, `serve --json`, and kStatsResponse payloads).
 /// v2 adds the scene-store counters (scene_evictions, scene_rejected,
 /// scene_resident_bytes, scene_peak_resident_bytes, scene_resident_count)
-/// to the flat per-shard object and to the fleet-merged sums.
-inline constexpr const char* kServeStatsSchema = "gaurast-serve-stats/v2";
+/// to the flat per-shard object and to the fleet-merged sums. v3 drops the
+/// per-stage "stages" array from the stats object and the "mode" and
+/// "stage_workers" fields from `serve --json`: the service has one
+/// executor.
+inline constexpr const char* kServeStatsSchema = "gaurast-serve-stats/v3";
 
 /// RenderRequest::flags bits.
 inline constexpr std::uint32_t kWantImage = 1u << 0;

@@ -15,9 +15,7 @@ FrameResult GaussianRenderer::begin_frame(
   FrameResult result;
   // Seed the tile grid now (it is the frame's dimension carrier for the
   // later stages); the image itself is allocated by raster_frame, on the
-  // thread that will write it — under a stage pipeline that is a different
-  // worker, and a buffer allocated where it is filled avoids hauling
-  // untouched pages through the inter-stage queues.
+  // thread that will write it.
   result.workload.grid.tile_size = config_.tile_size;
   result.workload.grid.width = camera.width();
   result.workload.grid.height = camera.height();

@@ -80,9 +80,9 @@ class GaussianRenderer {
 
   // Per-stage entry points. A frame is exactly
   //   begin_frame -> sort_frame -> raster_frame,
-  // and prepare()/render() are compositions of them, so a stage-pipelined
-  // scheduler that runs each stage on a different worker produces
-  // bit-identical frames to the monolithic calls by construction.
+  // and prepare()/render() are compositions of them, so a caller that
+  // invokes the stages itself (a timing harness, the GauRast backend's
+  // Step-3 hand-off) produces bit-identical frames by construction.
 
   /// Step 1 only: projects the scene's Gaussians into screen-space splats
   /// and seeds the tile grid (the frame's dimension carrier for the later

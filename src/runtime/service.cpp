@@ -54,61 +54,16 @@ scene::SceneStoreConfig store_config_for(const ServiceConfig& cfg) {
   return store;
 }
 
-/// Accounted bytes of a precompute attachment (its two per-Gaussian
-/// arrays; the struct header is noise next to them).
-std::size_t precompute_bytes(const pipeline::ScenePrecompute& p) {
-  return p.cov3d.size() * sizeof(Mat3f) +
-         p.raster_cutoff.size() * sizeof(float);
-}
-
 }  // namespace
-
-ExecutionMode execution_mode_from_string(const std::string& name) {
-  if (name == "monolithic") return ExecutionMode::kMonolithic;
-  if (name == "pipelined") return ExecutionMode::kPipelined;
-  throw Error("unknown execution mode '" + name +
-              "' (expected monolithic|pipelined)");
-}
-
-const char* to_string(ExecutionMode mode) {
-  switch (mode) {
-    case ExecutionMode::kMonolithic: return "monolithic";
-    case ExecutionMode::kPipelined: return "pipelined";
-  }
-  return "?";
-}
 
 RenderService::RenderService(ServiceConfig config)
     : config_(std::move(config)),
       backend_(resolve_backend(config_)),
       frame_options_(frame_options_for(config_)),
-      store_(store_config_for(config_)) {
-  if (config_.mode == ExecutionMode::kPipelined) {
-    if (!backend_->capabilities().supports_stage_pipeline) {
-      const std::vector<std::string> accepting =
-          engine::registry().names_where([](const engine::Capabilities& c) {
-            return c.supports_stage_pipeline;
-          });
-      throw Error("backend '" + backend_->name() +
-                  "' does not support stage-pipelined execution; backends "
-                  "that do: " +
-                  engine::join_names(accepting));
-    }
-    pipeline_ = std::make_unique<StagePipeline>(
-        StagePipeline::Config{config_.stage_workers, config_.queue_capacity},
-        *backend_, frame_options_,
-        [this](const JobResult& result) { record_completion(result); });
-  } else {
-    pool_ = std::make_unique<ThreadPool>(
-        ThreadPoolConfig{config_.workers, config_.queue_capacity});
-  }
-}
+      store_(store_config_for(config_)),
+      pool_(ThreadPoolConfig{config_.workers, config_.queue_capacity}) {}
 
 RenderService::~RenderService() { shutdown(); }
-
-int RenderService::worker_count() const {
-  return pool_ ? pool_->worker_count() : pipeline_->worker_count();
-}
 
 ScenePtr RenderService::scene(const std::string& key) {
   return store_.acquire(key);
@@ -116,69 +71,6 @@ ScenePtr RenderService::scene(const std::string& key) {
 
 std::size_t RenderService::cached_scene_count() const {
   return store_.resident_scenes();
-}
-
-std::shared_ptr<const pipeline::ScenePrecompute> RenderService::precompute_for(
-    const ScenePtr& scene) {
-  // Store-resident scenes carry their precompute as an accounted
-  // attachment: it is charged against the byte budget, evicted with its
-  // entry, and reused across demote/re-dequantize cycles (valid because
-  // dequantization is bit-stable).
-  const float alpha_min = config_.renderer.blend.alpha_min;
-  const auto build = [&scene, alpha_min](std::size_t& bytes) {
-    auto built = std::make_shared<const pipeline::ScenePrecompute>(
-        pipeline::precompute_scene(*scene, alpha_min));
-    bytes = precompute_bytes(*built);
-    return std::shared_ptr<const void>(built);
-  };
-  if (auto attached = store_.attachment(scene.get(), build)) {
-    return std::static_pointer_cast<const pipeline::ScenePrecompute>(
-        attached);
-  }
-
-  // Directly-injected scene (never acquired from the store): the fallback
-  // cache. The weak key pins nothing, so a dropped scene's entry expires
-  // — and an entry is only trusted if its weak pointer still resolves to
-  // this exact scene, which makes address reuse after a reload a miss
-  // instead of a stale precompute (the old cached_scene_count() /
-  // precompute disagreement).
-  common::MutexLock lock(precompute_mutex_);
-  const auto it = precompute_cache_.find(scene.get());
-  if (it != precompute_cache_.end()) {
-    if (const auto live = it->second.first.lock(); live.get() == scene.get()) {
-      return it->second.second;
-    }
-    precompute_cache_.erase(it);
-  }
-  // Sweep entries whose scene died so reload-heavy serving cannot grow
-  // the map without bound.
-  for (auto sweep = precompute_cache_.begin();
-       sweep != precompute_cache_.end();) {
-    if (sweep->second.first.expired()) {
-      sweep = precompute_cache_.erase(sweep);
-    } else {
-      ++sweep;
-    }
-  }
-  // Computed under the lock, like scene loads: first-touch work is rare and
-  // front-loaded, and duplicating it for concurrent first requests would
-  // cost more than making the second requester wait.
-  auto precompute = std::make_shared<const pipeline::ScenePrecompute>(
-      pipeline::precompute_scene(*scene, alpha_min));
-  precompute_cache_.emplace(
-      scene.get(),
-      std::make_pair(std::weak_ptr<const scene::GaussianScene>(scene),
-                     precompute));
-  return precompute;
-}
-
-std::size_t RenderService::cached_precompute_count() const {
-  std::size_t count = store_.attachment_count();
-  common::MutexLock lock(precompute_mutex_);
-  for (const auto& [addr, entry] : precompute_cache_) {
-    if (!entry.first.expired()) ++count;
-  }
-  return count;
 }
 
 JobResult RenderService::execute(RenderRequest request,
@@ -213,15 +105,13 @@ JobResult RenderService::execute(RenderRequest request,
   return result;
 }
 
-void RenderService::stamp_request(RenderRequest& request) {
-  GAURAST_CHECK(request.scene != nullptr);
-  common::MutexLock lock(stats_mutex_);
-  request.id = next_job_id_++;
-}
-
 std::function<JobResult()> RenderService::make_task(RenderRequest request) {
+  GAURAST_CHECK(request.scene != nullptr);
   const Clock::time_point enqueue_time = Clock::now();
-  stamp_request(request);
+  {
+    common::MutexLock lock(stats_mutex_);
+    request.id = next_job_id_++;
+  }
   return [this, request = std::move(request), enqueue_time]() mutable {
     return execute(std::move(request), enqueue_time);
   };
@@ -264,35 +154,17 @@ void RenderService::record_deadline_drop() {
   last_completion_ = Clock::now();
 }
 
-std::size_t RenderService::entry_queue_depth() const {
-  return pool_ ? pool_->queue_depth() : pipeline_->entry_queue_depth();
-}
-
 std::future<JobResult> RenderService::submit(RenderRequest request) {
-  if (pipeline_) {
-    const Clock::time_point enqueue_time = Clock::now();
-    stamp_request(request);
-    auto precompute = precompute_for(request.scene);
-    const std::size_t depth = entry_queue_depth();
-    note_submitted(depth);
-    try {
-      return pipeline_->submit(std::move(request), std::move(precompute),
-                               enqueue_time);
-    } catch (...) {
-      retract_submitted(depth);
-      throw;
-    }
-  }
   auto task = std::make_shared<std::packaged_task<JobResult()>>(
       make_task(std::move(request)));
   std::future<JobResult> future = task->get_future();
   // Count the submission before the pool can run it, so a snapshot never
   // shows more completions than submissions; roll back if intake refuses
   // (pool already shut down).
-  const std::size_t depth = pool_->queue_depth();
+  const std::size_t depth = pool_.queue_depth();
   note_submitted(depth);
   try {
-    pool_->submit([task] { (*task)(); });
+    pool_.submit([task] { (*task)(); });
   } catch (...) {
     retract_submitted(depth);
     throw;
@@ -302,23 +174,12 @@ std::future<JobResult> RenderService::submit(RenderRequest request) {
 
 std::optional<std::future<JobResult>> RenderService::try_submit(
     RenderRequest request) {
-  if (pipeline_) {
-    const Clock::time_point enqueue_time = Clock::now();
-    stamp_request(request);
-    auto precompute = precompute_for(request.scene);
-    const std::size_t depth = entry_queue_depth();
-    note_submitted(depth);
-    auto future = pipeline_->try_submit(std::move(request),
-                                        std::move(precompute), enqueue_time);
-    if (!future) note_rejected(depth);
-    return future;
-  }
   auto task = std::make_shared<std::packaged_task<JobResult()>>(
       make_task(std::move(request)));
   std::future<JobResult> future = task->get_future();
-  const std::size_t depth = pool_->queue_depth();
+  const std::size_t depth = pool_.queue_depth();
   note_submitted(depth);
-  if (!pool_->try_submit([task] { (*task)(); })) {
+  if (!pool_.try_submit([task] { (*task)(); })) {
     note_rejected(depth);
     return std::nullopt;
   }
@@ -326,23 +187,13 @@ std::optional<std::future<JobResult>> RenderService::try_submit(
 }
 
 void RenderService::drain() {
-  if (pipeline_) {
-    pipeline_->drain();
-  } else {
-    pool_->wait_idle();
-  }
+  pool_.wait_idle();
   // Render pins released with the drained jobs; re-fit the scene budget so
   // an idle service is not left holding a transient overshoot.
   store_.trim();
 }
 
-void RenderService::shutdown() {
-  if (pipeline_) {
-    pipeline_->shutdown();
-  } else {
-    pool_->shutdown();
-  }
-}
+void RenderService::shutdown() { pool_.shutdown(); }
 
 ServiceStats RenderService::stats() const {
   ServiceStats s;
@@ -393,20 +244,10 @@ ServiceStats RenderService::stats() const {
     s.latency_p95_ms = percentile_sorted(latencies, 0.95);
     s.latency_p99_ms = percentile_sorted(latencies, 0.99);
   }
-  const double busy_ms = pool_ ? pool_->busy_ms() : pipeline_->busy_ms();
   if (s.wall_ms > 0.0 && worker_count() > 0) {
     s.worker_utilization = std::min(
-        1.0, busy_ms / (s.wall_ms * static_cast<double>(worker_count())));
-  }
-  if (pipeline_) {
-    s.stages = pipeline_->snapshots();
-    for (StageSnapshot& stage : s.stages) {
-      if (s.wall_ms > 0.0 && stage.workers > 0) {
-        stage.utilization = std::min(
-            1.0, stage.busy_ms /
-                     (s.wall_ms * static_cast<double>(stage.workers)));
-      }
-    }
+        1.0,
+        pool_.busy_ms() / (s.wall_ms * static_cast<double>(worker_count())));
   }
   return s;
 }
@@ -435,13 +276,6 @@ void print_service_stats(std::ostream& os, const ServiceStats& stats) {
       {"Mean queue depth", format_fixed(stats.mean_queue_depth, 2)});
   table.add_row(
       {"Worker utilization", format_percent(stats.worker_utilization)});
-  for (const StageSnapshot& stage : stats.stages) {
-    table.add_row({"Stage " + stage.name,
-                   std::to_string(stage.workers) + "w, " +
-                       format_time_ms(stage.service_mean_ms) + " mean, q " +
-                       format_fixed(stage.mean_queue_depth, 2) + ", " +
-                       format_percent(stage.utilization)});
-  }
   table.add_row({"Scene cache",
                  std::to_string(stats.scene_cache_hits) + " hits / " +
                      std::to_string(stats.scene_cache_misses) + " misses"});
@@ -477,18 +311,7 @@ std::string service_stats_json(const ServiceStats& stats) {
      << ",\"scene_rejected\":" << stats.scene_rejected
      << ",\"scene_resident_bytes\":" << stats.scene_resident_bytes
      << ",\"scene_peak_resident_bytes\":" << stats.scene_peak_resident_bytes
-     << ",\"scene_resident_count\":" << stats.scene_resident_count
-     << ",\"stages\":[";
-  for (std::size_t i = 0; i < stats.stages.size(); ++i) {
-    const StageSnapshot& stage = stats.stages[i];
-    os << (i ? "," : "") << "{\"name\":\"" << stage.name
-       << "\",\"workers\":" << stage.workers
-       << ",\"completed\":" << stage.completed
-       << ",\"service_mean_ms\":" << stage.service_mean_ms
-       << ",\"mean_queue_depth\":" << stage.mean_queue_depth
-       << ",\"utilization\":" << stage.utilization << "}";
-  }
-  os << "]}";
+     << ",\"scene_resident_count\":" << stats.scene_resident_count << "}";
   return os.str();
 }
 

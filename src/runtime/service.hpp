@@ -1,16 +1,14 @@
 // RenderService — the concurrent render-serving front end.
 //
-// Owns an executor (a monolithic ThreadPool or a stage-pipelined
-// StagePipeline, per ServiceConfig::mode), a per-scene cache, and the
-// shared (const, therefore thread-safe) engine::RenderBackend serving
-// every job. Callers resolve a scene through the cache, submit()
-// RenderRequests, and get futures back; the bounded queues provide
-// backpressure (submit blocks, try_submit rejects). Every completion feeds
-// the aggregated service statistics: throughput, p50/p95/p99 latency,
-// queue wait, queue depth, worker utilization, and — under pipelined
-// execution — the per-stage breakdown. These are the serving-side metrics
-// the paper's FPS claims translate into under sustained multi-user
-// traffic.
+// Owns one ThreadPool, a per-scene cache, and the shared (const, therefore
+// thread-safe) engine::RenderBackend serving every job. Callers resolve a
+// scene through the cache, submit() RenderRequests, and get futures back;
+// one pool worker runs each job's three steps back to back, and the bounded
+// request queue provides backpressure (submit blocks, try_submit rejects).
+// Every completion feeds the aggregated service statistics: throughput,
+// p50/p95/p99 latency, queue wait, queue depth, and worker utilization.
+// These are the serving-side metrics the paper's FPS claims translate into
+// under sustained multi-user traffic.
 #pragma once
 
 #include <chrono>
@@ -18,7 +16,6 @@
 #include <functional>
 #include <future>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -29,37 +26,15 @@
 #include "engine/backend.hpp"
 #include "engine/registry.hpp"
 #include "runtime/job.hpp"
-#include "runtime/stage_pipeline.hpp"
 #include "runtime/thread_pool.hpp"
 #include "scene/store.hpp"
 
 namespace gaurast::runtime {
 
-/// How the service turns a request into a finished frame.
-enum class ExecutionMode {
-  /// One pool worker runs all three stages of a job back to back — the
-  /// classic request/handler shape; inter-frame parallelism only.
-  kMonolithic,
-  /// A StagePipeline runs each stage on its own bounded-queue pool, so
-  /// stages of different frames overlap and workers are apportioned per
-  /// stage. Requires a backend whose capabilities advertise
-  /// supports_stage_pipeline; frames are bit-identical to monolithic.
-  kPipelined,
-};
-
-/// Parses "monolithic" | "pipelined"; throws gaurast::Error otherwise.
-ExecutionMode execution_mode_from_string(const std::string& name);
-const char* to_string(ExecutionMode mode);
-
 struct ServiceConfig {
-  /// Pool size under ExecutionMode::kMonolithic (ignored when pipelined —
-  /// stage_workers apportions the pipeline's workers instead).
+  /// Pool size: frames rendered concurrently.
   int workers = 1;
-  ExecutionMode mode = ExecutionMode::kMonolithic;
-  /// Per-stage worker apportionment under ExecutionMode::kPipelined; the
-  /// service's total worker count is stage_workers.total().
-  StageWorkers stage_workers;
-  /// Request-queue bound (monolithic) or per-stage queue bound (pipelined).
+  /// Request-queue bound.
   std::size_t queue_capacity = 64;
   /// Registry key resolved through engine::create() at service
   /// construction — any registered backend serves, built-in or not.
@@ -84,9 +59,8 @@ struct ServiceConfig {
   /// scene::SyntheticSource (so "synthetic:<n>@<seed>" always serves).
   /// Inject a PlyDirectorySource, FunctionSource, or test double here.
   std::shared_ptr<const scene::SceneSource> scene_source;
-  /// Scene-store accounted-byte budget (quantized payloads + precompute);
-  /// 0 = unbounded. Over-budget residency triggers strict LRU eviction of
-  /// unpinned scenes.
+  /// Scene-store accounted-byte budget (quantized payloads); 0 = unbounded.
+  /// Over-budget residency triggers strict LRU eviction of unpinned scenes.
   std::size_t scene_budget_bytes = 0;
   /// Per-scene quantized-payload admission cap; 0 = none. Scenes over it
   /// are rejected with gaurast::Error, never materialized.
@@ -99,8 +73,8 @@ struct ServiceStats {
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;  ///< try_submit refusals (queue full)
   /// Accepted jobs whose deadline passed in the queue: shed by the worker
-  /// before rendering (monolithic executor). Not counted in `completed` —
-  /// the latency/throughput figures describe rendered frames only.
+  /// before rendering. Not counted in `completed` — the latency/throughput
+  /// figures describe rendered frames only.
   std::uint64_t deadline_dropped = 0;
 
   double wall_ms = 0.0;  ///< first submit -> last completion (or now)
@@ -126,10 +100,6 @@ struct ServiceStats {
   std::uint64_t scene_resident_bytes = 0;
   std::uint64_t scene_peak_resident_bytes = 0;
   std::uint64_t scene_resident_count = 0;
-
-  /// Per-stage breakdown (latency, queue depth, utilization) in stage
-  /// order; empty under ExecutionMode::kMonolithic.
-  std::vector<StageSnapshot> stages;
 };
 
 /// Renders the stats as an aligned two-column table (common/table idiom).
@@ -149,7 +119,7 @@ class RenderService {
   RenderService& operator=(const RenderService&) = delete;
 
   const ServiceConfig& config() const { return config_; }
-  int worker_count() const;
+  int worker_count() const { return pool_.worker_count(); }
 
   /// The backend every job is served through (registry-created from
   /// config().backend unless an instance was injected).
@@ -168,11 +138,6 @@ class RenderService {
 
   /// Scenes currently resident in the store (eviction shrinks this).
   std::size_t cached_scene_count() const;
-
-  /// Scenes whose camera-independent precompute the pipelined executor has
-  /// built so far (one per distinct scene served; see
-  /// pipeline::precompute_scene). Always 0 under monolithic execution.
-  std::size_t cached_precompute_count() const;
 
   /// Schedules a request, blocking while the queue is full (closed-loop
   /// backpressure). Throws gaurast::Error after shutdown().
@@ -194,15 +159,8 @@ class RenderService {
   using Clock = std::chrono::steady_clock;
 
   JobResult execute(RenderRequest request, Clock::time_point enqueue_time);
-  std::function<JobResult()> make_task(RenderRequest request);
-  /// Assigns the request's job id (pipelined path; make_task does it for
-  /// the monolithic one).
-  void stamp_request(RenderRequest& request) GAURAST_EXCLUDES(stats_mutex_);
-  /// Camera-independent per-scene state, computed on the first pipelined
-  /// job for each distinct scene and shared by every later frame of it.
-  std::shared_ptr<const pipeline::ScenePrecompute> precompute_for(
-      const ScenePtr& scene) GAURAST_EXCLUDES(precompute_mutex_);
-  std::size_t entry_queue_depth() const;
+  std::function<JobResult()> make_task(RenderRequest request)
+      GAURAST_EXCLUDES(stats_mutex_);
   void note_submitted(std::size_t queue_depth) GAURAST_EXCLUDES(stats_mutex_);
   void retract_submitted(std::size_t queue_depth)
       GAURAST_EXCLUDES(stats_mutex_);
@@ -220,20 +178,6 @@ class RenderService {
   /// The byte-budgeted scene cache behind scene(); owns the hit/miss/
   /// eviction/residency counters surfaced in ServiceStats.
   scene::SceneStore store_;
-  /// Exactly one executor exists, per config_.mode.
-  std::unique_ptr<ThreadPool> pool_;          ///< monolithic
-  std::unique_ptr<StagePipeline> pipeline_;   ///< pipelined
-
-  mutable common::Mutex precompute_mutex_;
-  /// Fallback precompute cache for scenes submitted directly (never
-  /// resolved through the store — store scenes carry their precompute as
-  /// an accounted attachment instead). Keyed by scene address; the weak
-  /// pointer detects both expiry and address reuse, so a reloaded scene
-  /// at a recycled address can never see a stale entry.
-  std::map<const scene::GaussianScene*,
-           std::pair<std::weak_ptr<const scene::GaussianScene>,
-                     std::shared_ptr<const pipeline::ScenePrecompute>>>
-      precompute_cache_ GAURAST_GUARDED_BY(precompute_mutex_);
 
   mutable common::Mutex stats_mutex_;
   std::uint64_t next_job_id_ GAURAST_GUARDED_BY(stats_mutex_) = 1;
@@ -249,6 +193,10 @@ class RenderService {
       GAURAST_GUARDED_BY(stats_mutex_);
   std::optional<Clock::time_point> last_completion_
       GAURAST_GUARDED_BY(stats_mutex_);
+
+  /// Declared last: its workers run jobs that touch every member above, so
+  /// it must start after them and join before they are destroyed.
+  ThreadPool pool_;
 };
 
 }  // namespace gaurast::runtime

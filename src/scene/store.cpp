@@ -248,42 +248,6 @@ std::shared_ptr<const GaussianScene> SceneStore::acquire(
   return ptr;
 }
 
-std::shared_ptr<const void> SceneStore::attachment(
-    const GaussianScene* scene, const AttachmentFactory& make) {
-  std::string key;
-  bool found = false;
-  {
-    common::MutexLock lock(mutex_);
-    for (const auto& [k, entry] : entries_) {
-      const auto live = entry.working.lock();
-      if (live.get() != scene) continue;
-      if (entry.attachment) return entry.attachment;
-      key = k;
-      found = true;
-      break;
-    }
-  }
-  if (!found) return nullptr;
-
-  // Build outside the lock (precompute is heavy). Concurrent builders for
-  // one entry are possible but harmless: the content is deterministic and
-  // the first publish wins.
-  std::size_t bytes = 0;
-  std::shared_ptr<const void> built = make(bytes);
-
-  common::MutexLock lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return built;  // evicted meanwhile: one-off
-  if (!it->second.attachment) {
-    it->second.attachment = built;
-    it->second.attachment_bytes = bytes;
-    resident_bytes_ += bytes;
-    peak_resident_bytes_ = std::max(peak_resident_bytes_, resident_bytes_);
-    evict_to_budget();
-  }
-  return it->second.attachment;
-}
-
 void SceneStore::evict_to_budget() {
   if (config_.max_bytes == 0) return;
   while (resident_bytes_ > config_.max_bytes) {
@@ -299,8 +263,7 @@ void SceneStore::evict_to_budget() {
     // Every entry pinned or loading: residency transiently exceeds the
     // budget rather than freeing a scene mid-frame.
     if (victim == entries_.end()) return;
-    resident_bytes_ -=
-        victim->second.quantized_bytes + victim->second.attachment_bytes;
+    resident_bytes_ -= victim->second.quantized_bytes;
     ++evictions_;
     entries_.erase(victim);
   }
@@ -327,15 +290,6 @@ SceneStoreStats SceneStore::stats() const {
 std::size_t SceneStore::resident_scenes() const {
   common::MutexLock lock(mutex_);
   return entries_.size();
-}
-
-std::size_t SceneStore::attachment_count() const {
-  common::MutexLock lock(mutex_);
-  std::size_t count = 0;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.attachment) ++count;
-  }
-  return count;
 }
 
 }  // namespace gaurast::scene

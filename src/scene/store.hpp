@@ -11,8 +11,8 @@
 //
 // The store holds scenes at rest in quantized form (scene/quantized) and
 // dequantizes a float working copy on demand. Accounted bytes = quantized
-// payload + any precompute attachment; the transient float copies are the
-// render working set and are not charged. Guarantees:
+// payload; the transient float copies are the render working set and are
+// not charged. Guarantees:
 //
 //   - Strict LRU eviction over accounted bytes whenever residency exceeds
 //     config.max_bytes (0 = unbounded).
@@ -160,18 +160,6 @@ class SceneStore {
   std::shared_ptr<const GaussianScene> acquire(const std::string& key)
       GAURAST_EXCLUDES(mutex_);
 
-  /// Returns the attachment (opaque derived state, e.g. the pipelined
-  /// executor's ScenePrecompute) for the entry whose live working copy is
-  /// `scene`, building it via `make` on first request. The attachment's
-  /// bytes are charged to the entry; it survives demote/re-dequantize
-  /// cycles (valid because dequantization is bit-stable) and dies with the
-  /// entry. Returns nullptr if `scene` is not a live store working copy.
-  using AttachmentFactory =
-      std::function<std::shared_ptr<const void>(std::size_t& bytes)>;
-  std::shared_ptr<const void> attachment(const GaussianScene* scene,
-                                         const AttachmentFactory& make)
-      GAURAST_EXCLUDES(mutex_);
-
   /// Re-applies the eviction policy outside an acquire: drops evictable
   /// entries until resident bytes fit the budget again. Eviction otherwise
   /// only runs when an acquire publishes, so residency that transiently
@@ -181,8 +169,6 @@ class SceneStore {
 
   SceneStoreStats stats() const GAURAST_EXCLUDES(mutex_);
   std::size_t resident_scenes() const GAURAST_EXCLUDES(mutex_);
-  /// Resident entries currently holding an attachment.
-  std::size_t attachment_count() const GAURAST_EXCLUDES(mutex_);
 
   const SceneStoreConfig& config() const { return config_; }
 
@@ -193,8 +179,6 @@ class SceneStore {
     /// Live working copy; expired = demoted to quantized-only rest state.
     /// A live pointer pins the entry against eviction.
     std::weak_ptr<const GaussianScene> working;
-    std::shared_ptr<const void> attachment;
-    std::size_t attachment_bytes = 0;
     std::uint64_t lru_tick = 0;
   };
 

@@ -305,34 +305,6 @@ run 0 serve --backend gaurast --config "$CFG" --jobs 2 --workers 1 --width 48 --
 run 1 serve --backend gscore --config "$CFG" --jobs 2 || true
 expect_contains "$ERR" "--config does not apply to --backend gscore" "serve config capability check"
 
-# 17. Stage-pipelined serving: the execution-mode switch, per-stage stats,
-# worker apportionment, and its flag validation.
-run 0 serve --pipeline --jobs 3 --backend sw --width 48 --height 36 || true
-expect_contains "$STDOUT" "pipelined" "serve --pipeline banner names the mode"
-expect_contains "$STDOUT" "Stage raster" "serve --pipeline prints per-stage stats"
-PIPE_JSON="$TMP/serve_pipe.json"
-run 0 serve --pipeline --stage-workers 2,1,2 --jobs 3 --backend sw \
-    --width 48 --height 36 --json "$PIPE_JSON" || true
-expect_contains "$STDOUT" "2,1,2 stage workers" "serve --stage-workers banner"
-if [[ ! -s "$PIPE_JSON" ]]; then
-  echo "FAIL: serve --pipeline did not write $PIPE_JSON" >&2
-  FAILURES=$((FAILURES + 1))
-else
-  expect_contains "$(cat "$PIPE_JSON")" '"mode":"pipelined"' "pipelined JSON mode"
-  expect_contains "$(cat "$PIPE_JSON")" '"stage_workers":"2,1,2"' "pipelined JSON split"
-  expect_contains "$(cat "$PIPE_JSON")" '"stages":[{"name":"preprocess"' "pipelined JSON stages"
-  expect_contains "$(cat "$PIPE_JSON")" '"workers":5' "pipelined JSON total workers"
-fi
-run 1 serve --pipeline --stage-workers 1,1 --jobs 2 || true
-expect_contains "$ERR" "malformed stage-worker spec" "bad --stage-workers diagnostic"
-expect_clean "$ERR" "bad --stage-workers diagnostic"
-run 1 serve --stage-workers 1,1,2 --jobs 2 || true
-expect_contains "$ERR" "--stage-workers requires --pipeline" "stage-workers without pipeline"
-run 1 serve --pipeline --workers 4 --jobs 2 || true
-expect_contains "$ERR" "--workers does not apply with --pipeline" "workers/pipeline conflict"
-run 1 render --pipeline --synthetic 100 || true
-expect_contains "$ERR" "--pipeline is not used by 'render'" "render rejects --pipeline"
-
 # 18. Networked serving: `serve --listen` on an ephemeral port accepts wire
 # requests from `gaurast_cli request`, serves the schema-stamped stats
 # endpoint, refuses mismatched options explicitly, and shuts down
@@ -361,7 +333,7 @@ else
     FAILURES=$((FAILURES + 1))
   fi
   run 0 request --port "$LISTEN_PORT" --stats || true
-  expect_contains "$STDOUT" '"schema":"gaurast-serve-stats/v2"' "stats frame is schema-stamped"
+  expect_contains "$STDOUT" '"schema":"gaurast-serve-stats/v3"' "stats frame is schema-stamped"
   expect_contains "$STDOUT" '"completed"' "stats frame reports completions"
   # An option the server cannot honor is an explicit wire refusal, exit 1.
   run 1 request --port "$LISTEN_PORT" --synthetic 100 --kernel fast || true
@@ -433,7 +405,7 @@ else
   # The stats endpoint through the router is the merged fleet document.
   run 0 request --port "$ROUTE_PORT" --stats || true
   expect_contains "$STDOUT" '"schema":"gaurast-fleet-stats/v1"' "routed stats is the fleet document"
-  expect_contains "$STDOUT" '"gaurast-serve-stats/v2"' "fleet document embeds per-shard stats"
+  expect_contains "$STDOUT" '"gaurast-serve-stats/v3"' "fleet document embeds per-shard stats"
   # Kill one worker -9: the fleet keeps serving (failover) and the
   # supervisor restarts the corpse on its original port.
   WORKER_PID=$(sed -n 's/^\[spawner\] worker \([0-9]*\) listening on.*/\1/p' "$ROUTE_LOG" | head -1)

@@ -692,7 +692,7 @@ TEST(Router, StatsEndpointsServeMergedFleetDocument) {
   EXPECT_EQ(json.find("{\"schema\":\"gaurast-fleet-stats/v1\""), 0u);
   EXPECT_NE(json.find("\"shards_total\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"routed_ok\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("gaurast-serve-stats/v2"), std::string::npos)
+  EXPECT_NE(json.find("gaurast-serve-stats/v3"), std::string::npos)
       << "per-shard stats must be embedded: " << json;
 
   // HTTP: /stats serves the same document; /healthz stays local and cheap.

@@ -2,11 +2,11 @@
 // malformed-frame rejection (truncated / oversized / bad-magic / wrong
 // version / trailing bytes), the v1/v2 version matrix for the appended
 // deadline_ms field, the server bridge onto RenderService (accept ->
-// render -> respond bit-identity against a direct submit, in both
-// execution modes), admission control (a full queue yields an explicit
-// OVERLOADED wire response), the TimeoutError/ConnectionError client
-// failure taxonomy, idle-timeout closes, the HTTP stats/health endpoints,
-// and graceful shutdown draining in-flight work.
+// render -> respond bit-identity against a direct submit), admission
+// control (a full queue yields an explicit OVERLOADED wire response), the
+// TimeoutError/ConnectionError client failure taxonomy, idle-timeout
+// closes, the HTTP stats/health endpoints, and graceful shutdown draining
+// in-flight work.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -35,14 +35,6 @@ namespace {
 
 using namespace gaurast;
 using namespace gaurast::net;
-
-scene::GaussianScene small_scene(std::uint64_t count = 600,
-                                 std::uint64_t seed = 7) {
-  scene::GeneratorParams params;
-  params.gaussian_count = count;
-  params.seed = seed;
-  return scene::generate_scene(params);
-}
 
 RenderRequest sample_request() {
   RenderRequest req = default_render_request(1234, 99, 64, 48);
@@ -389,7 +381,7 @@ void with_server(runtime::ServiceConfig service_config, ServerConfig config,
 }
 
 TEST(Server, RenderMatchesDirectSubmitBitIdentical) {
-  // The canonical 20k/320x240 configuration, monolithic sw backend.
+  // The canonical 20k/320x240 configuration, sw backend.
   runtime::ServiceConfig config;
   config.workers = 2;
   config.backend = "sw";
@@ -420,29 +412,6 @@ TEST(Server, RenderMatchesDirectSubmitBitIdentical) {
               0);
     // The server resolved the request through the shared scene cache.
     EXPECT_EQ(service.cached_scene_count(), 1u);
-  });
-}
-
-TEST(Server, RenderBitIdentityUnderPipelinedExecution) {
-  runtime::ServiceConfig config;
-  config.backend = "sw";
-  config.mode = runtime::ExecutionMode::kPipelined;
-  with_server(config, {}, [](runtime::RenderService& service, Server& server) {
-    RenderRequest wire = default_render_request(5000, 42, 160, 120);
-    wire.flags = kWantImage;
-    Client client("127.0.0.1", server.port());
-    const RenderResponse resp = client.render(wire);
-    ASSERT_EQ(resp.status, RenderStatus::kOk) << resp.message;
-
-    const runtime::ScenePtr scene = service.scene(wire.scene_key());
-    const Image direct =
-        service.submit({scene, scene::default_camera({}, 160, 120)})
-            .get()
-            .frame.image;
-    ASSERT_EQ(resp.pixels.size(), direct.pixel_count() * 3);
-    EXPECT_EQ(std::memcmp(resp.pixels.data(), direct.pixels().data(),
-                          resp.pixels.size() * sizeof(float)),
-              0);
   });
 }
 
@@ -649,7 +618,7 @@ TEST(Server, StatsFramesAreSchemaStamped) {
   with_server(config, {}, [](runtime::RenderService&, Server& server) {
     Client client("127.0.0.1", server.port());
     const std::string json = client.stats().json;
-    EXPECT_EQ(json.find("{\"schema\":\"gaurast-serve-stats/v2\""), 0u);
+    EXPECT_EQ(json.find("{\"schema\":\"gaurast-serve-stats/v3\""), 0u);
     EXPECT_NE(json.find("\"submitted\""), std::string::npos);
   });
 }
@@ -714,7 +683,7 @@ TEST(Server, FrameThenImmediateResetKeepsServing) {
     }
     // The server must still be serving after the abuse.
     Client client("127.0.0.1", server.port());
-    EXPECT_EQ(client.stats().json.find("{\"schema\":\"gaurast-serve-stats/v2\""),
+    EXPECT_EQ(client.stats().json.find("{\"schema\":\"gaurast-serve-stats/v3\""),
               0u);
   });
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
@@ -24,6 +25,12 @@ scene::GaussianScene small_scene(std::uint64_t count = 2000,
   params.gaussian_count = count;
   params.seed = seed;
   return scene::generate_scene(params);
+}
+
+std::vector<scene::Camera> test_cameras(int count, int width = 64,
+                                        int height = 48) {
+  return scene::orbit_path(width, height, 0.9f, {0.0f, 1.2f, 0.0f}, 8.8f,
+                           2.4f, count);
 }
 
 // ---------------------------------------------------------- Preprocess --
@@ -403,6 +410,27 @@ TEST(Renderer, RejectsSillyTileSize) {
   RendererConfig config;
   config.tile_size = 0;
   EXPECT_THROW(GaussianRenderer{config}, Error);
+}
+
+TEST(ScenePrecompute, RenderingWithPrecomputeIsBitIdentical) {
+  const scene::GaussianScene scene = small_scene(500, 3);
+  const scene::Camera camera = test_cameras(1)[0];
+  for (const pipeline::RasterKernel kernel :
+       {pipeline::RasterKernel::kReference, pipeline::RasterKernel::kFast}) {
+    pipeline::RendererConfig config;
+    config.kernel = kernel;
+    const pipeline::GaussianRenderer renderer(config);
+    const pipeline::ScenePrecompute pre =
+        pipeline::precompute_scene(scene, config.blend.alpha_min);
+    EXPECT_EQ(pre.cov3d.size(), scene.size());
+    EXPECT_EQ(pre.raster_cutoff.size(), scene.size());
+    const pipeline::FrameResult plain = renderer.render(scene, camera);
+    const pipeline::FrameResult reused = renderer.render(scene, camera, &pre);
+    EXPECT_EQ(plain.image.max_abs_diff(reused.image), 0.0f)
+        << pipeline::to_string(kernel);
+    EXPECT_EQ(plain.raster_stats.pairs_evaluated,
+              reused.raster_stats.pairs_evaluated);
+  }
 }
 
 /// Parameterized sweep: blending invariants hold across opacity regimes.

@@ -1,10 +1,10 @@
 // Tests for the scene::SceneStore subsystem: canonical scene-key parsing,
 // the quantized at-rest representation (bit-stable dequantization, the
 // <= 0.6x resident-byte budget), strict LRU eviction under a byte budget,
-// single-flight loading, pin-while-rendering, precompute attachments,
-// admission control (store-level and end-to-end over the wire), and the
-// acceptance property the store is specified against: a byte-budgeted
-// service produces frames bit-identical to an unbounded one.
+// single-flight loading, pin-while-rendering, admission control
+// (store-level and end-to-end over the wire), and the acceptance property
+// the store is specified against: a byte-budgeted service produces frames
+// bit-identical to an unbounded one.
 
 #include <atomic>
 #include <chrono>
@@ -322,74 +322,6 @@ TEST(SceneStore, ColdHitReinflatesIdenticallyWithoutSource) {
 }
 
 // ---------------------------------------------------------------------------
-// Attachments (precompute accounting)
-// ---------------------------------------------------------------------------
-
-TEST(SceneStore, AttachmentBuiltOnceChargedAndSurvivesDemote) {
-  std::atomic<int> loads{0};
-  SceneStore store(counted_config(loads));
-  std::shared_ptr<const GaussianScene> scene = store.acquire("a");
-  const std::uint64_t bytes_before = store.stats().resident_bytes;
-
-  int builds = 0;
-  const SceneStore::AttachmentFactory factory =
-      [&builds](std::size_t& bytes) {
-        ++builds;
-        bytes = 4096;
-        return std::shared_ptr<const void>(std::make_shared<int>(7));
-      };
-  const std::shared_ptr<const void> att = store.attachment(scene.get(), factory);
-  ASSERT_NE(att, nullptr);
-  EXPECT_EQ(builds, 1);
-  EXPECT_EQ(store.attachment_count(), 1u);
-  EXPECT_EQ(store.stats().resident_bytes, bytes_before + 4096);
-
-  // Second request returns the cached attachment without rebuilding.
-  EXPECT_EQ(store.attachment(scene.get(), factory), att);
-  EXPECT_EQ(builds, 1);
-
-  // Demote and re-inflate: the attachment belongs to the entry, not the
-  // float copy, so it survives (dequantization is bit-stable, so derived
-  // state stays valid).
-  scene.reset();
-  scene = store.acquire("a");
-  EXPECT_EQ(store.attachment(scene.get(), factory), att);
-  EXPECT_EQ(builds, 1);
-
-  // A scene the store never served gets no attachment.
-  const GaussianScene outsider = small_scene(50, 9);
-  EXPECT_EQ(store.attachment(&outsider, factory), nullptr);
-}
-
-TEST(SceneStore, AttachmentDiesWithEvictedEntry) {
-  std::atomic<int> loads{0};
-  const std::size_t scene_bytes = one_scene_bytes();
-  SceneStoreConfig config = counted_config(loads);
-  config.max_bytes = 2 * scene_bytes;
-  SceneStore store(config);
-
-  std::shared_ptr<const GaussianScene> scene = store.acquire("a");
-  int builds = 0;
-  const SceneStore::AttachmentFactory factory =
-      [&builds](std::size_t& bytes) {
-        ++builds;
-        bytes = 64;
-        return std::shared_ptr<const void>(std::make_shared<int>(1));
-      };
-  store.attachment(scene.get(), factory);
-  scene.reset();
-
-  store.acquire("b");
-  store.acquire("c");  // evicts "a" (LRU, unpinned) — attachment goes too
-  EXPECT_EQ(store.attachment_count(), 0u);
-
-  // Reload builds a fresh attachment: nothing stale survives the eviction.
-  scene = store.acquire("a");
-  store.attachment(scene.get(), factory);
-  EXPECT_EQ(builds, 2);
-}
-
-// ---------------------------------------------------------------------------
 // Admission control
 // ---------------------------------------------------------------------------
 
@@ -463,7 +395,7 @@ TEST(Server, OverBudgetSceneRefusedOnTheWireAndServingContinues) {
 }
 
 // ---------------------------------------------------------------------------
-// Service-level: budget bit-identity and precompute freshness
+// Service-level: budget bit-identity and reload freshness
 // ---------------------------------------------------------------------------
 
 /// Renders one frame per key in sequence and returns the images.
@@ -513,15 +445,12 @@ TEST(RenderService, BudgetedFramesBitIdenticalToUnbounded) {
   }
 }
 
-TEST(RenderService, ReloadedSceneGetsFreshPrecompute) {
-  // Regression: precompute used to be keyed by scene address, so a reload
-  // landing at a recycled allocation could serve a stale precompute.
-  // Under the store, precompute is an entry attachment and dies with the
-  // eviction; a reload whose source now returns different content must
-  // render that content, not the ghost of the old scene.
+TEST(RenderService, ReloadedSceneRendersFreshContent) {
+  // A reload after eviction may land at a recycled allocation; a reload
+  // whose source now returns different content must render that content,
+  // not the ghost of the old scene.
   std::atomic<int> version{0};
   runtime::ServiceConfig config;
-  config.mode = runtime::ExecutionMode::kPipelined;
   config.backend = "sw";
   config.scene_source = std::make_shared<const FunctionSource>(
       [&version](const std::string& key) {
@@ -534,7 +463,7 @@ TEST(RenderService, ReloadedSceneGetsFreshPrecompute) {
   const scene::Camera camera(64, 48, 0.9f, Vec3f{0.0f, 2.0f, 9.0f},
                              Vec3f{0.0f, 0.0f, 0.0f});
 
-  // First load of "s" (v1) renders and builds its precompute.
+  // First load of "s" (v1) renders.
   const Image first =
       service.submit({service.scene("s"), camera}).get().frame.image;
   // Evict "s": acquire another scene while no pin on "s" is outstanding.
@@ -551,7 +480,7 @@ TEST(RenderService, ReloadedSceneGetsFreshPrecompute) {
   const Image second =
       service.submit({service.scene("s"), camera}).get().frame.image;
 
-  // Reference: a fresh unbounded pipelined service rendering v2 directly.
+  // Reference: a fresh unbounded service rendering v2 directly.
   runtime::ServiceConfig reference = config;
   reference.scene_budget_bytes = 0;
   reference.scene_source = std::make_shared<const FunctionSource>(
@@ -563,7 +492,7 @@ TEST(RenderService, ReloadedSceneGetsFreshPrecompute) {
   EXPECT_FALSE(images_identical(first, second))
       << "reload served the old scene content";
   EXPECT_TRUE(images_identical(second, expected))
-      << "reloaded scene rendered with stale derived state";
+      << "reloaded scene did not render its new content";
 }
 
 }  // namespace

@@ -14,12 +14,13 @@ is the report's *shape*:
     or an unregistered new section fails loudly instead of gating nothing,
   * identical top-level schema tag (schema drift must bump the committed
     baseline in the same PR),
-  * every aggregated section the baseline has (micro / service / pipeline /
-    wire / fleet / faults) present with its expected per-section schema tag,
+  * every aggregated section the baseline has (micro / service / wire /
+    fleet / faults / scene_store) present with its expected per-section
+    schema tag,
   * every micro benchmark name in the baseline still reported (a silently
     dropped benchmark is how perf trajectories rot),
   * the derived headline metrics still computed (raster_fast_speedup,
-    pipelined_speedup, wire_relative_throughput,
+    wire_relative_throughput,
     routed_relative_throughput, faulted_relative_throughput,
     faulted_deadline_hit_rate, faulted_p99_ms,
     budgeted_relative_throughput, budgeted_hit_rate,
@@ -43,7 +44,6 @@ import sys
 SECTIONS = (
     "micro",
     "service",
-    "pipeline",
     "wire",
     "fleet",
     "faults",
@@ -57,10 +57,10 @@ KNOWN_SCHEMAS = {
         "gaurast-bench-pipeline/v4",
         "gaurast-bench-pipeline/v5",
         "gaurast-bench-pipeline/v6",
+        "gaurast-bench-pipeline/v7",
     },
     "micro": {"gaurast-bench-micro/v1"},
     "service": {"gaurast-bench-service/v1"},
-    "pipeline": {"gaurast-bench-service-pipeline/v1"},
     "wire": {"gaurast-bench-service-wire/v1"},
     "fleet": {"gaurast-bench-service-fleet/v1"},
     "faults": {"gaurast-bench-service-faults/v1"},
@@ -145,7 +145,6 @@ def check_shape(baseline, current):
 
     derived_expectations = (
         ("micro", "raster_fast_speedup"),
-        ("pipeline", "pipelined_speedup"),
         ("wire", "wire_relative_throughput"),
         ("fleet", "routed_relative_throughput"),
         ("faults", "faulted_relative_throughput"),
@@ -196,7 +195,6 @@ def ratio_table(baseline, current):
     for section, key in (
         ("micro", "raster_fast_speedup"),
         ("micro", "sort_parallel_speedup"),
-        ("pipeline", "pipelined_speedup"),
         ("wire", "wire_relative_throughput"),
         ("fleet", "routed_relative_throughput"),
         ("faults", "faulted_relative_throughput"),

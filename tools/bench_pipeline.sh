@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # bench_pipeline.sh — runs the canonical pipeline benchmark configurations
 # and aggregates their machine-readable reports into one
-# BENCH_pipeline.json (schema gaurast-bench-pipeline/v6):
+# BENCH_pipeline.json (schema gaurast-bench-pipeline/v7):
 #
-#   {"schema":"gaurast-bench-pipeline/v6","quick":<bool>,
+#   {"schema":"gaurast-bench-pipeline/v7","quick":<bool>,
 #    "micro":      <gaurast-bench-micro/v1 report>,
 #    "service":    <gaurast-bench-service/v1 report>,
-#    "pipeline":   <gaurast-bench-service-pipeline/v1 report>,
 #    "wire":       <gaurast-bench-service-wire/v1 report>,
 #    "fleet":      <gaurast-bench-service-fleet/v1 report>,
 #    "faults":     <gaurast-bench-service-faults/v1 report>,
@@ -15,9 +14,7 @@
 # The canonical (non-quick) configuration is bench_micro's flag defaults
 # (20000 Gaussians at 320x240, warmup 2, repeat 5 — the config the recorded
 # perf trajectory tracks) plus a closed-loop service sweep on the software
-# backend with the fast kernel, plus the monolithic-vs-stage-pipelined
-# serving comparison at equal total worker count on the canonical
-# 20000-Gaussian 320x240 scene, plus the loopback wire-vs-in-process serving
+# backend with the fast kernel, plus the loopback wire-vs-in-process serving
 # comparison (net::Server / net::Client over a real TCP socket, image
 # payloads included), plus the direct-vs-routed sharded-fleet comparison
 # (cluster::Router fronting loopback shards; reports the routed/direct
@@ -30,8 +27,7 @@
 # budgeted/unbounded throughput ratio, hit rate, evictions, and whether
 # post-drain residency held under the budget). --quick shrinks
 # everything to a small scene and a single repeat so CI can exercise the
-# JSON paths, both kernels, and both execution modes on every PR in
-# seconds.
+# JSON paths and both kernels on every PR in seconds.
 #
 # Usage: tools/bench_pipeline.sh [--build-dir DIR] [--out FILE] [--quick]
 set -euo pipefail
@@ -68,8 +64,6 @@ trap 'rm -rf "$TMP"' EXIT
 
 MICRO_FLAGS=()
 SERVICE_FLAGS=(--backend sw --kernel fast)
-PIPELINE_FLAGS=(--pipeline --backend sw --kernel fast --stage-workers 1,1,2
-                --queue 4)
 WIRE_FLAGS=(--listen-loopback --backend sw --kernel fast)
 FLEET_FLAGS=(--fleet 2 --backend sw --kernel fast)
 FAULTS_FLAGS=(--faults --backend sw --kernel fast)
@@ -77,8 +71,6 @@ SCENES_FLAGS=(--scene-sweep --backend sw --kernel fast)
 if [[ "$QUICK" == 1 ]]; then
   MICRO_FLAGS+=(--synthetic 4000 --width 160 --height 120 --warmup 1 --repeat 1)
   SERVICE_FLAGS+=(--jobs 6 --width 96 --height 72 --warmup 0 --repeat 1)
-  PIPELINE_FLAGS+=(--jobs 4 --width 96 --height 72 --scene-size 2000
-                   --warmup 0 --repeat 1)
   WIRE_FLAGS+=(--jobs 4 --width 96 --height 72 --scene-size 2000
                --workers 1 --clients 2 --warmup 0 --repeat 1)
   FLEET_FLAGS+=(--jobs 4 --width 96 --height 72
@@ -88,15 +80,10 @@ if [[ "$QUICK" == 1 ]]; then
   SCENES_FLAGS+=(--jobs 8 --width 96 --height 72
                  --workers 1 --warmup 0 --repeat 1)
 else
-  # Canonical: bench_micro defaults; a fuller service sweep; the execution
-  # -mode comparison on the canonical 20k/320x240 scene. --queue 4 bounds
-  # the pipeline's in-flight frame window (keeps per-frame buffers warm in
-  # the allocator) and gives monolithic the same request-queue bound.
-  # The fleet comparison keeps the default mixed scene sizes so the
-  # rendezvous hash actually spreads load across both shards.
+  # Canonical: bench_micro defaults; a fuller service sweep. The fleet
+  # comparison keeps the default mixed scene sizes so the rendezvous hash
+  # actually spreads load across both shards.
   SERVICE_FLAGS+=(--jobs 24 --warmup 1 --repeat 3)
-  PIPELINE_FLAGS+=(--jobs 24 --width 320 --height 240 --scene-size 20000
-                   --warmup 1 --repeat 5)
   WIRE_FLAGS+=(--jobs 16 --width 320 --height 240 --scene-size 20000
                --workers 2 --clients 4 --warmup 1 --repeat 3)
   FLEET_FLAGS+=(--jobs 16 --width 320 --height 240
@@ -120,8 +107,6 @@ echo "== bench_micro ${MICRO_FLAGS[*]:-<canonical defaults>}"
 "$MICRO" ${MICRO_FLAGS[@]+"${MICRO_FLAGS[@]}"} --json "$TMP/micro.json"
 echo "== bench_service_throughput ${SERVICE_FLAGS[*]}"
 "$SERVICE" "${SERVICE_FLAGS[@]}" --json "$TMP/service.json"
-echo "== bench_service_throughput ${PIPELINE_FLAGS[*]}"
-"$SERVICE" "${PIPELINE_FLAGS[@]}" --json "$TMP/pipeline.json"
 echo "== bench_service_throughput ${WIRE_FLAGS[*]}"
 "$SERVICE" "${WIRE_FLAGS[@]}" --json "$TMP/wire.json"
 echo "== bench_service_throughput ${FLEET_FLAGS[*]}"
@@ -132,13 +117,11 @@ echo "== bench_service_throughput ${SCENES_FLAGS[*]}"
 "$SERVICE" "${SCENES_FLAGS[@]}" --json "$TMP/scene_store.json"
 
 {
-  printf '{"schema":"gaurast-bench-pipeline/v6","quick":%s,"micro":' \
+  printf '{"schema":"gaurast-bench-pipeline/v7","quick":%s,"micro":' \
          "$([[ "$QUICK" == 1 ]] && echo true || echo false)"
   tr -d '\n' < "$TMP/micro.json"
   printf ',"service":'
   tr -d '\n' < "$TMP/service.json"
-  printf ',"pipeline":'
-  tr -d '\n' < "$TMP/pipeline.json"
   printf ',"wire":'
   tr -d '\n' < "$TMP/wire.json"
   printf ',"fleet":'
@@ -151,13 +134,11 @@ echo "== bench_service_throughput ${SCENES_FLAGS[*]}"
 } > "$OUT"
 
 SPEEDUP=$(sed -n 's/.*"raster_fast_speedup":\([0-9.]*\).*/\1/p' "$OUT")
-PIPE_SPEEDUP=$(sed -n 's/.*"pipelined_speedup":\([0-9.]*\).*/\1/p' "$OUT")
 WIRE_REL=$(sed -n 's/.*"wire_relative_throughput":\([0-9.]*\).*/\1/p' "$OUT")
 FLEET_REL=$(sed -n 's/.*"routed_relative_throughput":\([0-9.]*\).*/\1/p' "$OUT")
 FAULT_REL=$(sed -n 's/.*"faulted_relative_throughput":\([0-9.]*\).*/\1/p' "$OUT")
 STORE_REL=$(sed -n 's/.*"budgeted_relative_throughput":\([0-9.]*\).*/\1/p' "$OUT")
 echo "Wrote $OUT (raster fast-vs-reference speedup: ${SPEEDUP:-n/a}x," \
-     "pipelined-vs-monolithic serve: ${PIPE_SPEEDUP:-n/a}x," \
      "wire-vs-in-process serve: ${WIRE_REL:-n/a}x," \
      "routed-vs-direct fleet: ${FLEET_REL:-n/a}x," \
      "faulted-vs-clean fleet: ${FAULT_REL:-n/a}x," \

@@ -11,7 +11,6 @@
 //                        [--arrival closed|poisson] [--rate HZ]
 //                        [--backend NAME] [--config rast.cfg] [--threads T]
 //                        [--kernel reference|fast] [--seed S]
-//                        [--pipeline] [--stage-workers P,S,R]
 //                        [--listen PORT] [--json out.json]
 //                        [--deadline-ms MS] [--fault-plan PLAN]
 //   gaurast_cli request  --port P [--host H] [--synthetic N] [--seed S]
@@ -162,8 +161,6 @@ void reject_incapable_flags(const CliParser& cli,
             &engine::Capabilities::supports_kernel_select);
   incapable("config", "it derives its own rasterizer configuration",
             &engine::Capabilities::accepts_external_rasterizer_config);
-  incapable("pipeline", "its stages cannot be invoked separately",
-            &engine::Capabilities::supports_stage_pipeline);
 }
 
 // Resolves --backend against the engine registry (at its default operating
@@ -491,7 +488,6 @@ int cmd_serve_listen(const CliParser& cli,
   server.start();
   std::cout << "Listening on " << server_config.host << ":" << server.port()
             << " (backend " << service_config.backend << ", "
-            << to_string(service_config.mode) << ", "
             << service.worker_count() << " workers)" << std::endl;
 
   g_stop_requested = 0;
@@ -508,9 +504,7 @@ int cmd_serve_listen(const CliParser& cli,
   if (!json_path.empty()) {
     std::ofstream os(json_path, std::ios::trunc);
     os << "{\"schema\":\"" << net::kServeStatsSchema
-       << "\",\"command\":\"serve\",\"mode\":\""
-       << to_string(service_config.mode)
-       << "\",\"workers\":" << service.worker_count()
+       << "\",\"command\":\"serve\",\"workers\":" << service.worker_count()
        << ",\"listen\":" << server.port() << ",\"backend\":\""
        << service_config.backend
        << "\",\"scene_budget_bytes\":" << service_config.scene_budget_bytes
@@ -709,23 +703,6 @@ int cmd_route(const CliParser& cli) {
 int cmd_serve(const CliParser& cli) {
   arm_fault_plan_flag(cli);
   runtime::ServiceConfig service_config;
-  const bool pipelined = cli.get_bool("pipeline");
-  if (pipelined) {
-    service_config.mode = runtime::ExecutionMode::kPipelined;
-    // Per-stage apportionment replaces the flat worker count; mixing the
-    // two would leave one of them silently ignored.
-    if (flag_was_set(cli, "workers")) {
-      throw CliParseError(
-          "--workers does not apply with --pipeline; apportion workers per "
-          "stage with --stage-workers preprocess,sort,raster");
-    }
-    service_config.stage_workers = flag_value("stage-workers", [&] {
-      return runtime::stage_workers_from_string(
-          cli.get_string("stage-workers"));
-    });
-  } else if (flag_was_set(cli, "stage-workers")) {
-    throw CliParseError("--stage-workers requires --pipeline");
-  }
   const int workers_flag = cli.get_int("workers");
   if (workers_flag < 0) {
     throw CliParseError("--workers must be >= 0 (0 = one per hardware core)");
@@ -790,28 +767,19 @@ int cmd_serve(const CliParser& cli) {
   OutputFileProbe json_probe(json_path, "json");
 
   runtime::RenderService service(service_config);
-  const std::string worker_blurb =
-      pipelined ? to_string(service_config.stage_workers) + " stage workers"
-                : std::to_string(service_config.workers) + " workers";
   print_banner(std::cout,
-               "Serving " + std::to_string(workload.jobs) + " jobs " +
-                   to_string(service_config.mode) + " on " + worker_blurb +
-                   " (backend " + service_config.backend + ", arrival " +
-                   to_string(workload.arrival) + ")");
+               "Serving " + std::to_string(workload.jobs) + " jobs on " +
+                   std::to_string(service_config.workers) +
+                   " workers (backend " + service_config.backend +
+                   ", arrival " + to_string(workload.arrival) + ")");
   const runtime::WorkloadRunResult run = run_workload(service, workload);
   runtime::print_service_stats(std::cout, run.stats);
 
   if (!json_path.empty()) {
     std::ofstream os(json_path, std::ios::trunc);
     os << "{\"schema\":\"" << net::kServeStatsSchema
-       << "\",\"command\":\"serve\",\"mode\":\""
-       << to_string(service_config.mode)
-       << "\",\"workers\":" << service.worker_count();
-    if (pipelined) {
-      os << ",\"stage_workers\":\"" << to_string(service_config.stage_workers)
-         << "\"";
-    }
-    os << ",\"queue\":" << service_config.queue_capacity << ",\"backend\":\""
+       << "\",\"command\":\"serve\",\"workers\":" << service.worker_count()
+       << ",\"queue\":" << service_config.queue_capacity << ",\"backend\":\""
        << service_config.backend << "\",\"arrival\":\""
        << to_string(workload.arrival) << "\",\"jobs\":" << workload.jobs
        << ",\"seed\":" << workload.seed
@@ -867,9 +835,9 @@ const std::vector<std::string>& command_flags(const std::string& command) {
       {"replay", {"trace", "config"}},
       {"serve",
        {"jobs", "workers", "queue", "arrival", "rate", "backend", "config",
-        "threads", "kernel", "seed", "width", "height", "pipeline",
-        "stage-workers", "listen", "json", "deadline-ms", "fault-plan",
-        "scene-budget-mb", "max-scene-mb", "scene-dir"}},
+        "threads", "kernel", "seed", "width", "height", "listen", "json",
+        "deadline-ms", "fault-plan", "scene-budget-mb", "max-scene-mb",
+        "scene-dir"}},
       {"request",
        {"host", "port", "synthetic", "scene", "seed", "width", "height",
         "out", "backend", "kernel", "stats", "deadline-ms"}},
@@ -955,9 +923,8 @@ int main(int argc, char** argv) {
                "canonical scene key (synthetic:<count>[@<seed>] or "
                "ply:<path-or-name>)");
   cli.add_flag("scene-budget-mb", "0",
-               "serve/route: scene-store byte budget in MiB — quantized "
-               "payloads plus precompute; LRU eviction above it "
-               "(0 = unbounded)");
+               "serve/route: scene-store byte budget in MiB over quantized "
+               "scene payloads; LRU eviction above it (0 = unbounded)");
   cli.add_flag("max-scene-mb", "0",
                "serve/route: per-scene quantized-size admission cap in MiB; "
                "larger scenes are refused, never materialized (0 = none)");
@@ -973,18 +940,9 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "42", "PRNG seed for generated scenes (render/serve)");
   cli.add_flag("jobs", "32", "serve: number of frame requests to generate");
   cli.add_flag("workers", "0", "serve: worker threads (0 = one per core)");
-  cli.add_flag("queue", "64",
-               "serve: bounded queue capacity (request queue; per-stage "
-               "queues with --pipeline)");
+  cli.add_flag("queue", "64", "serve: bounded request-queue capacity");
   cli.add_flag("arrival", "closed", "serve: arrival model, closed or poisson");
   cli.add_flag("rate", "120", "serve: offered load in jobs/s (poisson)");
-  cli.add_flag("pipeline", "false",
-               "serve: stage-pipelined execution — preprocess/sort/raster of "
-               "different frames overlap (backends with stage support; "
-               "bit-identical frames)");
-  cli.add_flag("stage-workers", "1,1,2",
-               "serve: pipelined worker split preprocess,sort,raster "
-               "(with --pipeline)");
   cli.add_flag("listen", "0",
                "serve/route: listen for gaurast wire-protocol clients on "
                "this TCP port (0 = ephemeral) instead of generating a "
