@@ -2,35 +2,26 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <sstream>
+
+#include "common/stats.hpp"
 
 namespace gaurast::cluster {
 
 namespace {
 
-double percentile(std::vector<double> sorted_samples, double q) {
-  if (sorted_samples.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted_samples.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted_samples.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted_samples[lo] * (1.0 - frac) + sorted_samples[hi] * frac;
-}
-
-double mean(const std::vector<double>& samples) {
-  if (samples.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double s : samples) sum += s;
-  return sum / static_cast<double>(samples.size());
-}
-
 /// Emits mean/p50/p95/max for one sample set under `prefix`.
 void emit_latency_fields(std::ostringstream& os, const std::string& prefix,
                          std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
-  os << ",\"" << prefix << "_mean_ms\":" << mean(samples) << ",\"" << prefix
-     << "_p50_ms\":" << percentile(samples, 0.50) << ",\"" << prefix
-     << "_p95_ms\":" << percentile(samples, 0.95) << ",\"" << prefix
+  const double mean =
+      samples.empty() ? 0.0
+                      : std::accumulate(samples.begin(), samples.end(), 0.0) /
+                            static_cast<double>(samples.size());
+  os << ",\"" << prefix << "_mean_ms\":" << mean << ",\"" << prefix
+     << "_p50_ms\":" << percentile_sorted(samples, 0.50) << ",\"" << prefix
+     << "_p95_ms\":" << percentile_sorted(samples, 0.95) << ",\"" << prefix
      << "_max_ms\":" << (samples.empty() ? 0.0 : samples.back());
 }
 

@@ -61,10 +61,11 @@ struct RouterStatsSnapshot {
   /// RetryPolicy-approved retries performed (every re-route after a failed
   /// forward; a subset also counts in `failovers` once re-enqueued).
   std::uint64_t retries = 0;
-  /// Router-observed end-to-end latency per forwarded request (ms).
+  /// Router-observed end-to-end latency per forwarded request (ms); the
+  /// router keeps the last 65,536 (SampleWindow, common/stats.hpp).
   std::vector<double> latency_ms;
   /// Route overhead per kOk forward: router-observed round trip minus the
-  /// shard-reported latency_ms (ms, clamped at 0).
+  /// shard-reported latency_ms (ms, clamped at 0); also the last 65,536.
   std::vector<double> route_overhead_ms;
 };
 

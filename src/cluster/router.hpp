@@ -52,6 +52,7 @@
 #include "cluster/host_db.hpp"
 #include "cluster/retry_policy.hpp"
 #include "common/mutex.hpp"
+#include "common/stats.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/client.hpp"
 #include "net/frame_server.hpp"
@@ -207,10 +208,11 @@ class Router : private net::FrameHandler {
   std::thread prober_thread_;  // lint-invariants: allow(raw-concurrency)
 
   mutable common::Mutex stats_mutex_;
+  /// Counters only; stats_snapshot() fills the sample vectors from the
+  /// bounded windows below.
   RouterStatsSnapshot counters_ GAURAST_GUARDED_BY(stats_mutex_);
-  /// Ring-replacement cursors once the sample vectors hit their cap.
-  std::size_t latency_slot_ GAURAST_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t overhead_slot_ GAURAST_GUARDED_BY(stats_mutex_) = 0;
+  SampleWindow latency_ms_ GAURAST_GUARDED_BY(stats_mutex_);
+  SampleWindow route_overhead_ms_ GAURAST_GUARDED_BY(stats_mutex_);
 
   common::Mutex state_mutex_;
   bool running_ GAURAST_GUARDED_BY(state_mutex_) = false;

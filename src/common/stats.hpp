@@ -1,7 +1,8 @@
-// Streaming summary statistics and histograms.
+// Streaming summary statistics, histograms, and latency percentiles.
 //
 // Used by the simulators (per-tile occupancy, queue depths, per-pixel blend
-// depth) and by the workload calibration machinery.
+// depth), the workload calibration machinery, and every serving-side
+// latency figure (render service, fleet router, service bench).
 #pragma once
 
 #include <cstddef>
@@ -59,6 +60,29 @@ class Histogram {
   double hi_;
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
+};
+
+/// Exact nearest-rank percentile (q in [0, 1]) of an ascending-sorted
+/// sample: the smallest sample with at least a q share of the set at or
+/// below it. 0 for an empty sample. The one percentile definition behind
+/// every latency figure the serving stack reports.
+double percentile_sorted(const std::vector<double>& sorted, double q);
+
+/// The most recent kCapacity samples, oldest overwritten first once full,
+/// so a long-lived process's latency figures cost bounded memory. Until it
+/// wraps, samples() is in insertion order.
+class SampleWindow {
+ public:
+  static constexpr std::size_t kCapacity = 65536;
+
+  void add(double x);
+
+  std::size_t size() const { return samples_.size(); }
+  const std::vector<double>& samples() const { return samples_; }
+
+ private:
+  std::size_t next_ = 0;  ///< slot the next add overwrites once full
+  std::vector<double> samples_;
 };
 
 }  // namespace gaurast

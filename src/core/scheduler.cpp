@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/stats.hpp"
 
 namespace gaurast::core {
 
@@ -46,10 +47,7 @@ double PipelineSeriesResult::p99_interval_ms() const {
   GAURAST_CHECK(!interval_ms.empty());
   std::vector<double> sorted = interval_ms;
   std::sort(sorted.begin(), sorted.end());
-  const std::size_t idx = std::min(
-      sorted.size() - 1,
-      static_cast<std::size_t>(0.99 * static_cast<double>(sorted.size())));
-  return sorted[idx];
+  return percentile_sorted(sorted, 0.99);
 }
 
 PipelineSeriesResult simulate_pipeline_series(

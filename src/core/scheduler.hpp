@@ -70,7 +70,7 @@ struct PipelineSeriesResult {
   std::vector<double> interval_ms;    ///< frame-to-frame delivery interval
 
   double mean_interval_ms() const;
-  double p99_interval_ms() const;  ///< worst-case-ish delivery jitter
+  double p99_interval_ms() const;  ///< nearest-rank p99: delivery jitter
   double fps() const { return 1000.0 / mean_interval_ms(); }
 };
 

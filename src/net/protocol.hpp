@@ -8,18 +8,15 @@
 //   offset  size  field
 //   ------  ----  -----------------------------------------------------
 //        0     4  magic          kFrameMagic ("GAUR")
-//        4     1  version        kMinProtocolVersion..kProtocolVersion
+//        4     1  version        kProtocolVersion
 //        5     1  type           MessageType
 //        6     2  reserved       must be zero
 //        8     4  payload_size   <= kMaxPayloadBytes
 //       12     n  payload        MessageType-specific encoding below
 //
-// Versioning: peers emit kProtocolVersion and accept every version in
-// [kMinProtocolVersion, kProtocolVersion]. A minor version bump appends
-// fields to payload encodings; decoders branch on the received frame's
-// version byte, so an old peer's frames keep decoding (the appended fields
-// take their zero defaults) while a new-version frame truncated before an
-// appended field is still rejected loudly.
+// Versioning: peers emit kProtocolVersion and accept exactly it. Any other
+// version byte is a protocol error; there are no per-version payload
+// branches.
 //
 // A peer that receives a frame violating any of these rules (bad magic,
 // unknown version, nonzero reserved bits, oversized payload, unknown type,
@@ -34,14 +31,13 @@
 //                    width u32, height u32, fov_y f32, eye f32[3],
 //                    target f32[3], up f32[3], flags u32 (bit 0 =
 //                    kWantImage), backend string, kernel string,
-//                    deadline_ms u32 (version >= 2 only; 0 = no deadline),
-//                    scene string (version >= 3 only) — a canonical scene
-//                    key ("synthetic:<count>[@<seed>]" or
+//                    deadline_ms u32 (0 = no deadline), scene string — a
+//                    canonical scene key ("synthetic:<count>[@<seed>]" or
 //                    "ply:<path-or-name>", see scene/store.hpp). Empty
 //                    scene means the key is derived from
-//                    gaussian_count/scene_seed (the v1/v2 addressing);
-//                    when scene is set, gaussian_count/scene_seed are
-//                    advisory and may be zero.
+//                    gaussian_count/scene_seed; when scene is set,
+//                    gaussian_count/scene_seed are advisory and may be
+//                    zero.
 //                    Empty backend/kernel mean "whatever the server is
 //                    configured with"; a non-empty value that differs from
 //                    the serving configuration yields a kServerError
@@ -65,7 +61,7 @@
 //                    deadline_ms budget ran out before a render could
 //                    complete — shed at admission, in the queue, or at a
 //                    router hop; never sent for a request without a
-//                    deadline, so version-1 peers never see it.
+//                    deadline.
 //   kStatsRequest    (empty payload)
 //   kStatsResponse   json string — the server's ServiceStats snapshot as
 //                    schema-stamped JSON (kServeStatsSchema).
@@ -86,19 +82,14 @@ namespace gaurast::net {
 /// Frame magic: "GAUR" read as a little-endian u32.
 inline constexpr std::uint32_t kFrameMagic = 0x52554147u;
 
-/// The wire-format version byte peers emit. Minor bumps append payload
-/// fields (decoders branch on the received version); an incompatible change
-/// must also raise kMinProtocolVersion.
+/// The one wire-format version byte peers emit and accept; a frame carrying
+/// any other is a protocol error.
 ///
-/// v1: initial protocol. v2: RenderRequest gains trailing deadline_ms u32;
-/// RenderStatus gains kDeadlineExceeded. v3: RenderRequest gains a trailing
-/// canonical scene-key string (empty = derive from gaussian_count/seed);
-/// the stats schema moves to gaurast-serve-stats/v2 (scene-store counters).
+/// History: v1 was the initial protocol. v2 appended deadline_ms to
+/// RenderRequest and added kDeadlineExceeded. v3 appended the canonical
+/// scene-key string (empty = derive from gaussian_count/seed) and moved the
+/// stats schema to gaurast-serve-stats/v2. No peer speaks v1 or v2 any more.
 inline constexpr std::uint8_t kProtocolVersion = 3;
-
-/// Oldest version byte still accepted. Frames outside
-/// [kMinProtocolVersion, kProtocolVersion] are protocol errors.
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
 
 /// Fixed frame-header size in bytes (magic + version + type + reserved +
 /// payload_size).
@@ -145,7 +136,7 @@ enum class RenderStatus : std::uint8_t {
   /// The request carried a deadline_ms budget and it ran out before a
   /// render could complete: shed at admission, dropped from a service
   /// queue, or given up by a router hop. Only requests that set a deadline
-  /// can receive it, so version-1 peers (which cannot set one) never do.
+  /// can receive it.
   kDeadlineExceeded = 4,
 };
 
@@ -161,8 +152,8 @@ class ProtocolError : public Error {
 };
 
 /// One frame request as it travels the wire. The scene is named by a
-/// canonical scene-store key (v3) or its synthetic generator spec
-/// (count + seed, the v1/v2 encoding) — either way the same key space the
+/// canonical scene-store key or its synthetic generator spec (count +
+/// seed, when the key is empty) — either way the same key space the
 /// RenderService scene store uses — and the camera by its constructor
 /// inputs, so the server can rebuild an identical scene::Camera and the
 /// rendered image is bit-identical to an in-process submission.
@@ -180,12 +171,10 @@ struct RenderRequest {
   std::string backend;      ///< empty = server default
   std::string kernel;       ///< empty = server default
   /// Remaining latency budget in milliseconds, counted from the moment the
-  /// receiver reads the frame; 0 = no deadline. Wire version >= 2 only —
-  /// a v1 frame decodes with no deadline.
+  /// receiver reads the frame; 0 = no deadline.
   std::uint32_t deadline_ms = 0;
   /// Canonical scene key ("synthetic:<n>[@<seed>]" / "ply:<name>"); empty =
-  /// derive from gaussian_count/scene_seed. Wire version >= 3 only — a
-  /// v1/v2 frame decodes with an empty scene.
+  /// derive from gaussian_count/scene_seed.
   std::string scene;
 
   /// The scene-store key this request resolves to: `scene` when set, else
@@ -230,14 +219,11 @@ RenderRequest default_render_request(std::uint64_t gaussian_count,
 struct FrameHeader {
   MessageType type = MessageType::kError;
   std::uint32_t payload_size = 0;
-  /// The version byte the frame carried — payload decoders branch on it.
-  std::uint8_t version = kProtocolVersion;
 };
 
-/// Validates `kHeaderBytes` of header and returns the decoded
-/// type/size/version. Throws ProtocolError on bad magic, a version outside
-/// [kMinProtocolVersion, kProtocolVersion], reserved bits, payload size, or
-/// unknown message type.
+/// Validates `kHeaderBytes` of header and returns the decoded type/size.
+/// Throws ProtocolError on bad magic, a version other than
+/// kProtocolVersion, reserved bits, payload size, or unknown message type.
 FrameHeader decode_header(const std::uint8_t* data);
 
 std::vector<std::uint8_t> serialize(const RenderRequest& msg);
@@ -249,15 +235,8 @@ std::vector<std::uint8_t> serialize_error(const std::string& message);
 /// Payload decoders; `data`/`size` span exactly the frame payload. Every
 /// decoder consumes the payload exactly — trailing bytes are a
 /// ProtocolError, as is any truncation.
-///
-/// deserialize_render_request takes the frame's version byte (from
-/// FrameHeader::version): a v1 payload ends at `kernel` and decodes with
-/// deadline_ms = 0; a v2 payload must carry the trailing deadline_ms u32;
-/// a v3 payload must additionally carry the trailing scene string.
 RenderRequest deserialize_render_request(const std::uint8_t* data,
-                                         std::size_t size,
-                                         std::uint8_t version =
-                                             kProtocolVersion);
+                                         std::size_t size);
 RenderResponse deserialize_render_response(const std::uint8_t* data,
                                            std::size_t size);
 StatsResponse deserialize_stats_response(const std::uint8_t* data,

@@ -1,12 +1,12 @@
 #include "runtime/service.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/stats.hpp"
 #include "common/table.hpp"
 
 namespace gaurast::runtime {
@@ -17,17 +17,6 @@ double to_ms(std::chrono::steady_clock::duration d) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
              d)
       .count();
-}
-
-/// Exact nearest-rank percentile over an ascending-sorted sample set. One
-/// O(n log n) sort per stats() snapshot beats a histogram's binning error
-/// for the p99 of a modest-sized run.
-double percentile_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(std::min<double>(
-      static_cast<double>(sorted.size()) - 1.0,
-      std::ceil(q * static_cast<double>(sorted.size())) - 1.0));
-  return sorted[rank];
 }
 
 /// The backend every job runs through: the injected instance when the
@@ -142,7 +131,7 @@ void RenderService::record_completion(const JobResult& result) {
   ++completed_;
   queue_wait_sum_ms_ += result.queue_wait_ms;
   service_sum_ms_ += result.service_ms;
-  latencies_ms_.push_back(result.latency_ms);
+  latencies_ms_.add(result.latency_ms);
   last_completion_ = Clock::now();
 }
 
@@ -207,7 +196,7 @@ ServiceStats RenderService::stats() const {
     s.completed = completed_;
     s.rejected = rejected_;
     s.deadline_dropped = deadline_dropped_;
-    latencies = latencies_ms_;
+    latencies = latencies_ms_.samples();
     if (first_submit_) {
       window_begin = *first_submit_;
       window_end = last_completion_ ? *last_completion_ : Clock::now();

@@ -19,9 +19,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/mutex.hpp"
+#include "common/stats.hpp"
 #include "common/thread_annotations.hpp"
 #include "engine/backend.hpp"
 #include "engine/registry.hpp"
@@ -67,7 +67,11 @@ struct ServiceConfig {
   std::size_t max_scene_bytes = 0;
 };
 
-/// Aggregated snapshot; all latencies in milliseconds.
+/// Aggregated snapshot; all latencies in milliseconds. The latency_*
+/// figures (mean, p50, p95, p99, max) cover only the last 65,536
+/// completions (SampleWindow, common/stats.hpp), so a long-lived service
+/// holds its stats memory flat; every counter and the queue-wait/service
+/// means cover the service's whole life.
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -188,7 +192,8 @@ class RenderService {
   double queue_depth_sum_ GAURAST_GUARDED_BY(stats_mutex_) = 0.0;
   double queue_wait_sum_ms_ GAURAST_GUARDED_BY(stats_mutex_) = 0.0;
   double service_sum_ms_ GAURAST_GUARDED_BY(stats_mutex_) = 0.0;
-  std::vector<double> latencies_ms_ GAURAST_GUARDED_BY(stats_mutex_);
+  /// The latency figures' sample set: the last 65,536 completions.
+  SampleWindow latencies_ms_ GAURAST_GUARDED_BY(stats_mutex_);
   std::optional<Clock::time_point> first_submit_
       GAURAST_GUARDED_BY(stats_mutex_);
   std::optional<Clock::time_point> last_completion_

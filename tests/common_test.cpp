@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/chart.hpp"
 #include "common/cli.hpp"
@@ -210,6 +212,34 @@ TEST(RunningStats, MergeEqualsSequential) {
   EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
   EXPECT_EQ(a.min(), all.min());
   EXPECT_EQ(a.max(), all.max());
+}
+
+TEST(Percentile, NearestRankOnSmallSample) {
+  const std::vector<double> sorted = {1.0, 2.0, 3.0, 4.0, 5.0,
+                                      6.0, 7.0, 8.0, 9.0, 10.0};
+  // Rank ceil(q * n): no interpolation between neighbours.
+  EXPECT_EQ(percentile_sorted(sorted, 0.0), 1.0);
+  EXPECT_EQ(percentile_sorted(sorted, 0.10), 1.0);
+  EXPECT_EQ(percentile_sorted(sorted, 0.11), 2.0);
+  EXPECT_EQ(percentile_sorted(sorted, 0.50), 5.0);
+  EXPECT_EQ(percentile_sorted(sorted, 0.95), 10.0);
+  EXPECT_EQ(percentile_sorted(sorted, 0.99), 10.0);
+  EXPECT_EQ(percentile_sorted(sorted, 1.0), 10.0);
+  EXPECT_EQ(percentile_sorted({7.5}, 0.5), 7.5);
+  EXPECT_EQ(percentile_sorted({}, 0.5), 0.0);
+  EXPECT_THROW(percentile_sorted(sorted, 1.5), Error);
+}
+
+TEST(SampleWindow, HoldsTheLastCapacitySamples) {
+  ASSERT_EQ(SampleWindow::kCapacity, 65536u);
+  SampleWindow window;
+  for (int i = 0; i < 70000; ++i) window.add(static_cast<double>(i));
+  EXPECT_EQ(window.size(), SampleWindow::kCapacity);
+  // The 4464 oldest samples were overwritten by the newest ones.
+  std::vector<double> sorted = window.samples();
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted.front(), 70000.0 - 65536.0);
+  EXPECT_EQ(sorted.back(), 69999.0);
 }
 
 TEST(Histogram, TotalsConserved) {

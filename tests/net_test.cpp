@@ -1,7 +1,7 @@
 // Tests for the gaurast::net subsystem: wire-protocol round-trips and
 // malformed-frame rejection (truncated / oversized / bad-magic / wrong
-// version / trailing bytes), the v1/v2 version matrix for the appended
-// deadline_ms field, the server bridge onto RenderService (accept ->
+// version / trailing bytes), old-version frames refused with an error
+// frame, the server bridge onto RenderService (accept ->
 // render -> respond bit-identity against a direct submit), admission
 // control (a full queue yields an explicit OVERLOADED wire response), the
 // TimeoutError/ConnectionError client failure taxonomy, idle-timeout
@@ -259,6 +259,8 @@ TEST(Protocol, HeaderRejectsMalformedFrames) {
   EXPECT_THROW(decode_header(corrupted(0, 0xFF).data()), ProtocolError);
   EXPECT_THROW(decode_header(corrupted(4, kProtocolVersion + 1).data()),
                ProtocolError);  // unknown version
+  EXPECT_THROW(decode_header(corrupted(4, 1).data()), ProtocolError);  // v1
+  EXPECT_THROW(decode_header(corrupted(4, 2).data()), ProtocolError);  // v2
   EXPECT_THROW(decode_header(corrupted(5, 0).data()), ProtocolError);
   EXPECT_THROW(decode_header(corrupted(5, 99).data()), ProtocolError);
   EXPECT_THROW(decode_header(corrupted(6, 1).data()), ProtocolError);
@@ -287,47 +289,24 @@ TEST(Protocol, TruncatedAndTrailingPayloadsRejected) {
                ProtocolError);
 }
 
-TEST(Protocol, DeadlineFieldVersionMatrix) {
+TEST(Protocol, TruncatedRequestTailRejected) {
   RenderRequest req = sample_request();
   req.deadline_ms = 250;
   const auto frame = serialize(req);
   const FrameHeader header = decode_header(frame.data());
-  ASSERT_EQ(header.version, kProtocolVersion);
-
-  // v3 round-trips the appended deadline field (and the empty scene key:
-  // sample_request addresses its scene via gaussian_count/seed).
   EXPECT_EQ(deserialize_render_request(frame.data() + kHeaderBytes,
-                                       header.payload_size, header.version)
+                                       header.payload_size)
                 .deadline_ms,
             250u);
-
-  // A v2 payload ends at `deadline_ms`: the same bytes minus the trailing
-  // scene string (4-byte length prefix, empty here), decoded as version 2.
-  const RenderRequest v2 = deserialize_render_request(
-      frame.data() + kHeaderBytes, header.payload_size - 4, 2);
-  EXPECT_EQ(v2.deadline_ms, 250u);
-  EXPECT_TRUE(v2.scene.empty());
-
-  // A v1 payload ends at `kernel`: minus the scene string and the
-  // deadline u32, decoded as version 1, the deadline takes the zero
-  // default — an old peer's frames keep decoding, it just cannot set one.
-  const RenderRequest v1 = deserialize_render_request(
-      frame.data() + kHeaderBytes, header.payload_size - 8, 1);
-  EXPECT_EQ(v1.deadline_ms, 0u);
-  EXPECT_EQ(v1.request_id, req.request_id);
-  EXPECT_EQ(v1.kernel, req.kernel);
-
-  // A payload truncated before a field its version promises is rejected
-  // loudly, as is an old-version payload carrying trailing bytes.
+  // The payload ends with deadline_ms u32 and the scene string (an empty
+  // one is its 4-byte length prefix). Cut before either, it is a
+  // ProtocolError, never a zero-default.
   EXPECT_THROW(deserialize_render_request(frame.data() + kHeaderBytes,
-                                          header.payload_size - 8, 2),
-               ProtocolError);
+                                          header.payload_size - 4),
+               ProtocolError);  // before `scene`
   EXPECT_THROW(deserialize_render_request(frame.data() + kHeaderBytes,
-                                          header.payload_size - 4, 3),
-               ProtocolError);
-  EXPECT_THROW(deserialize_render_request(frame.data() + kHeaderBytes,
-                                          header.payload_size, 1),
-               ProtocolError);
+                                          header.payload_size - 8),
+               ProtocolError);  // before `deadline_ms`
 }
 
 TEST(Protocol, RenderResponsePixelByteCountOverflowRejected) {
@@ -511,52 +490,52 @@ TEST(Server, MalformedFrameGetsErrorFrameAndClose) {
   });
 }
 
-TEST(Server, VersionOneRequestStillServed) {
+/// A render-request frame cut `drop` bytes short, its header's payload
+/// size and version byte rewritten to match.
+std::vector<std::uint8_t> cut_request_frame(std::size_t drop,
+                                            std::uint8_t version) {
+  std::vector<std::uint8_t> frame =
+      serialize(default_render_request(600, 7, 64, 48));
+  frame.resize(frame.size() - drop);
+  frame[4] = version;
+  const std::uint32_t payload_size =
+      static_cast<std::uint32_t>(frame.size() - kHeaderBytes);
+  std::memcpy(frame.data() + 8, &payload_size, 4);
+  return frame;
+}
+
+TEST(Server, OldVersionFramesGetErrorFrameAndClose) {
   runtime::ServiceConfig config;
   config.backend = "sw";
   with_server(config, {}, [](runtime::RenderService&, Server& server) {
-    // A v1 peer's render request: today's frame minus the v2 deadline_ms
-    // tail and the v3 scene string (empty, so just its 4-byte length
-    // prefix), with the version byte and payload size rewound. The server
-    // must serve it like any other request (deadline defaults to none,
-    // the scene key derives from gaussian_count/seed).
-    RenderRequest req = default_render_request(600, 7, 64, 48);
-    req.request_id = 31;
-    std::vector<std::uint8_t> frame = serialize(req);
-    frame.resize(frame.size() - 8);
-    frame[4] = 1;  // version byte
-    const std::uint32_t payload_size =
-        static_cast<std::uint32_t>(frame.size() - kHeaderBytes);
-    std::memcpy(frame.data() + 8, &payload_size, 4);
-
-    RawConn conn(server.port(), /*timeout_ms=*/30000);
-    conn.send_bytes(frame);
-    const std::vector<std::uint8_t> reply = conn.read_frame();
-    const FrameHeader header = decode_header(reply.data());
-    ASSERT_EQ(header.type, MessageType::kRenderResponse);
-    const RenderResponse resp = deserialize_render_response(
-        reply.data() + kHeaderBytes, header.payload_size);
-    EXPECT_EQ(resp.status, RenderStatus::kOk) << resp.message;
-    EXPECT_EQ(resp.request_id, 31u);
+    // What a v1 peer sent (no deadline_ms, no scene) and what a v2 peer
+    // sent (no scene), each under its own version byte.
+    struct OldPeer {
+      std::size_t drop;
+      std::uint8_t version;
+    };
+    for (const OldPeer peer : {OldPeer{8, 1}, OldPeer{4, 2}}) {
+      RawConn conn(server.port());
+      conn.send_bytes(cut_request_frame(peer.drop, peer.version));
+      const std::vector<std::uint8_t> reply = conn.read_until_close();
+      ASSERT_GE(reply.size(), kHeaderBytes);
+      const FrameHeader header = decode_header(reply.data());
+      EXPECT_EQ(header.type, MessageType::kError);
+      const std::string message =
+          deserialize_error(reply.data() + kHeaderBytes, header.payload_size);
+      EXPECT_NE(message.find("version"), std::string::npos) << message;
+    }
   });
 }
 
-TEST(Server, TruncatedVersionTwoDeadlineRejectedLoudly) {
+TEST(Server, TruncatedRequestTailRejectedLoudly) {
   runtime::ServiceConfig config;
   config.backend = "sw";
   with_server(config, {}, [](runtime::RenderService&, Server& server) {
-    // Same truncation, but still claiming version 2: a new-version frame
-    // cut before an appended field is a protocol error — kError frame and
-    // close, never a silent zero-default.
-    std::vector<std::uint8_t> frame =
-        serialize(default_render_request(600, 7, 64, 48));
-    frame.resize(frame.size() - 4);
-    const std::uint32_t payload_size =
-        static_cast<std::uint32_t>(frame.size() - kHeaderBytes);
-    std::memcpy(frame.data() + 8, &payload_size, 4);
-
+    // The current version byte on a payload cut before `scene`: a protocol
+    // error (kError frame and close), never a silently defaulted field.
     RawConn conn(server.port());
-    conn.send_bytes(frame);
+    conn.send_bytes(cut_request_frame(4, kProtocolVersion));
     const std::vector<std::uint8_t> reply = conn.read_until_close();
     ASSERT_GE(reply.size(), kHeaderBytes);
     EXPECT_EQ(decode_header(reply.data()).type, MessageType::kError);

@@ -17,14 +17,14 @@ is the report's *shape*:
   * every aggregated section the baseline has (micro / service / wire /
     fleet / faults / scene_store) present with its expected per-section
     schema tag,
+  * a section whose tag equals the baseline's keeps the baseline's layout:
+    the same set of JSON key paths, array elements merged (a layout change
+    must bump the section's tag). Derived metrics are keys under
+    "derived", so a dropped headline (raster_fast_speedup, sweep_speedup,
+    wire_relative_throughput, routed_relative_throughput, ...) fails here,
   * every micro benchmark name in the baseline still reported (a silently
-    dropped benchmark is how perf trajectories rot),
-  * the derived headline metrics still computed (raster_fast_speedup,
-    wire_relative_throughput,
-    routed_relative_throughput, faulted_relative_throughput,
-    faulted_deadline_hit_rate, faulted_p99_ms,
-    budgeted_relative_throughput, budgeted_hit_rate,
-    budgeted_resident_under_budget).
+    dropped benchmark is how perf trajectories rot; names are values, not
+    keys, so the layout rule cannot see them).
 
 It also writes an informational current/baseline ratio table (markdown) to
 --summary, or to $GITHUB_STEP_SUMMARY when set, or stdout — so every CI run
@@ -58,13 +58,20 @@ KNOWN_SCHEMAS = {
         "gaurast-bench-pipeline/v5",
         "gaurast-bench-pipeline/v6",
         "gaurast-bench-pipeline/v7",
+        "gaurast-bench-pipeline/v8",
     },
     "micro": {"gaurast-bench-micro/v1"},
-    "service": {"gaurast-bench-service/v1"},
-    "wire": {"gaurast-bench-service-wire/v1"},
-    "fleet": {"gaurast-bench-service-fleet/v1"},
-    "faults": {"gaurast-bench-service-faults/v1"},
-    "scene_store": {"gaurast-bench-service-scenes/v1"},
+    "service": {"gaurast-bench-service/v1", "gaurast-bench-service/v2"},
+    "wire": {"gaurast-bench-service-wire/v1", "gaurast-bench-service-wire/v2"},
+    "fleet": {"gaurast-bench-service-fleet/v1", "gaurast-bench-service-fleet/v2"},
+    "faults": {
+        "gaurast-bench-service-faults/v1",
+        "gaurast-bench-service-faults/v2",
+    },
+    "scene_store": {
+        "gaurast-bench-service-scenes/v1",
+        "gaurast-bench-service-scenes/v2",
+    },
 }
 
 
@@ -110,6 +117,24 @@ def micro_medians(report):
     }
 
 
+def key_paths(node, prefix=""):
+    """Every key path in a JSON value ("modes[].stats[].completed");
+    array elements merge into one "[]" step, so list lengths never count."""
+    if isinstance(node, dict):
+        paths = set()
+        for key, value in node.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths.add(path)
+            paths |= key_paths(value, path)
+        return paths
+    if isinstance(node, list):
+        paths = set()
+        for value in node:
+            paths |= key_paths(value, prefix + "[]")
+        return paths
+    return set()
+
+
 def check_shape(baseline, current):
     errors = []
     errors += unknown_schema_errors("baseline", baseline)
@@ -134,6 +159,16 @@ def check_shape(baseline, current):
                 f"section '{section}' schema drift: baseline '{base_tag}' "
                 f"vs current '{cur_tag}'"
             )
+            continue
+        base_paths = key_paths(baseline[section])
+        cur_paths = key_paths(current[section])
+        if base_paths != cur_paths:
+            changes = [f"-{p}" for p in sorted(base_paths - cur_paths)]
+            changes += [f"+{p}" for p in sorted(cur_paths - base_paths)]
+            errors.append(
+                f"section '{section}' changed layout under unchanged tag "
+                f"'{cur_tag}' (bump the tag): " + ", ".join(changes)
+            )
 
     base_micro = micro_medians(baseline.get("micro", {}))
     cur_micro = micro_medians(current.get("micro", {}))
@@ -142,25 +177,6 @@ def check_shape(baseline, current):
         errors.append(
             "micro benchmarks missing from current report: " + ", ".join(missing)
         )
-
-    derived_expectations = (
-        ("micro", "raster_fast_speedup"),
-        ("wire", "wire_relative_throughput"),
-        ("fleet", "routed_relative_throughput"),
-        ("faults", "faulted_relative_throughput"),
-        ("faults", "faulted_deadline_hit_rate"),
-        ("faults", "faulted_p99_ms"),
-        ("scene_store", "budgeted_relative_throughput"),
-        ("scene_store", "budgeted_hit_rate"),
-        ("scene_store", "budgeted_resident_under_budget"),
-    )
-    for section, key in derived_expectations:
-        if section not in baseline:
-            continue
-        if key in baseline[section].get("derived", {}) and key not in current.get(
-            section, {}
-        ).get("derived", {}):
-            errors.append(f"derived metric '{section}.{key}' no longer reported")
     return errors
 
 
@@ -195,6 +211,7 @@ def ratio_table(baseline, current):
     for section, key in (
         ("micro", "raster_fast_speedup"),
         ("micro", "sort_parallel_speedup"),
+        ("service", "sweep_speedup"),
         ("wire", "wire_relative_throughput"),
         ("fleet", "routed_relative_throughput"),
         ("faults", "faulted_relative_throughput"),

@@ -1,33 +1,28 @@
 #!/usr/bin/env bash
 # bench_pipeline.sh — runs the canonical pipeline benchmark configurations
 # and aggregates their machine-readable reports into one
-# BENCH_pipeline.json (schema gaurast-bench-pipeline/v7):
+# BENCH_pipeline.json (schema gaurast-bench-pipeline/v8):
 #
-#   {"schema":"gaurast-bench-pipeline/v7","quick":<bool>,
+#   {"schema":"gaurast-bench-pipeline/v8","quick":<bool>,
 #    "micro":      <gaurast-bench-micro/v1 report>,
-#    "service":    <gaurast-bench-service/v1 report>,
-#    "wire":       <gaurast-bench-service-wire/v1 report>,
-#    "fleet":      <gaurast-bench-service-fleet/v1 report>,
-#    "faults":     <gaurast-bench-service-faults/v1 report>,
-#    "scene_store":<gaurast-bench-service-scenes/v1 report>}
+#    "service":    <gaurast-bench-service/v2 report>,        --compare sweep
+#    "wire":       <gaurast-bench-service-wire/v2 report>,   --compare wire
+#    "fleet":      <gaurast-bench-service-fleet/v2 report>,  --compare fleet
+#    "faults":     <gaurast-bench-service-faults/v2 report>, --compare faults
+#    "scene_store":<gaurast-bench-service-scenes/v2 report>} --compare scenes
 #
 # The canonical (non-quick) configuration is bench_micro's flag defaults
 # (20000 Gaussians at 320x240, warmup 2, repeat 5 — the config the recorded
-# perf trajectory tracks) plus a closed-loop service sweep on the software
-# backend with the fast kernel, plus the loopback wire-vs-in-process serving
-# comparison (net::Server / net::Client over a real TCP socket, image
-# payloads included), plus the direct-vs-routed sharded-fleet comparison
-# (cluster::Router fronting loopback shards; reports the routed/direct
-# throughput ratio and per-frame route overhead), plus the clean-vs-faulted
-# comparison (every request deadlined, the faulted pass under a seeded
-# 1%-forward-error / 5%-10ms-delay plan; reports the faulted/clean
-# throughput ratio, faulted p99, and deadline hit rate), plus the
-# unbounded-vs-budgeted scene-store comparison (the budgeted pass evicts
-# against half the unbounded pass's peak resident bytes; reports the
-# budgeted/unbounded throughput ratio, hit rate, evictions, and whether
-# post-drain residency held under the budget). --quick shrinks
-# everything to a small scene and a single repeat so CI can exercise the
-# JSON paths and both kernels on every PR in seconds.
+# perf trajectory tracks) plus bench_service_throughput's five
+# comparisons on the software backend with the fast kernel: the
+# worker-count sweep (in process), wire vs in-process (loopback TCP, image
+# payloads included), routed vs direct over 2 loopback shards, faulted vs
+# clean routed serving (every request deadlined, the faulted side under a
+# seeded 1%-forward-error / 5%-10ms-delay plan), and budgeted vs unbounded
+# scene store (budget: half the scene classes' quantized bytes). Every
+# service report shares one layout; see the bench's header comment.
+# --quick shrinks everything to small scenes and a single repeat so CI and
+# ctest can exercise the JSON paths and both kernels in seconds.
 #
 # Usage: tools/bench_pipeline.sh [--build-dir DIR] [--out FILE] [--quick]
 set -euo pipefail
@@ -63,41 +58,25 @@ TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
 MICRO_FLAGS=()
-SERVICE_FLAGS=(--backend sw --kernel fast)
-WIRE_FLAGS=(--listen-loopback --backend sw --kernel fast)
-FLEET_FLAGS=(--fleet 2 --backend sw --kernel fast)
-FAULTS_FLAGS=(--faults --backend sw --kernel fast)
-SCENES_FLAGS=(--scene-sweep --backend sw --kernel fast)
+COMMON=(--backend sw --kernel fast)
 if [[ "$QUICK" == 1 ]]; then
   MICRO_FLAGS+=(--synthetic 4000 --width 160 --height 120 --warmup 1 --repeat 1)
-  SERVICE_FLAGS+=(--jobs 6 --width 96 --height 72 --warmup 0 --repeat 1)
-  WIRE_FLAGS+=(--jobs 4 --width 96 --height 72 --scene-size 2000
-               --workers 1 --clients 2 --warmup 0 --repeat 1)
-  FLEET_FLAGS+=(--jobs 4 --width 96 --height 72
-                --workers 1 --clients 2 --warmup 0 --repeat 1)
-  FAULTS_FLAGS+=(--jobs 4 --width 96 --height 72
-                 --workers 1 --clients 2 --warmup 0 --repeat 1)
-  SCENES_FLAGS+=(--jobs 8 --width 96 --height 72
-                 --workers 1 --warmup 0 --repeat 1)
+  COMMON+=(--width 96 --height 72 --warmup 0 --repeat 1)
+  SERVICE_FLAGS=(--jobs 6)
+  WIRE_FLAGS=(--jobs 4 --scene-size 2000 --workers 1 --clients 2)
+  FLEET_FLAGS=(--jobs 4 --workers 1 --clients 2)
+  SCENES_FLAGS=(--jobs 8 --workers 1)
 else
-  # Canonical: bench_micro defaults; a fuller service sweep. The fleet
-  # comparison keeps the default mixed scene sizes so the rendezvous hash
-  # actually spreads load across both shards.
-  SERVICE_FLAGS+=(--jobs 24 --warmup 1 --repeat 3)
-  WIRE_FLAGS+=(--jobs 16 --width 320 --height 240 --scene-size 20000
-               --workers 2 --clients 4 --warmup 1 --repeat 3)
-  FLEET_FLAGS+=(--jobs 16 --width 320 --height 240
-                --workers 2 --clients 4 --warmup 1 --repeat 3)
-  # Same fleet shape as the routed comparison; the default deadline and
-  # seeded fault plan come from the bench binary's flag defaults so the
-  # tracked configuration lives in one place.
-  FAULTS_FLAGS+=(--jobs 16 --width 320 --height 240
-                 --workers 2 --clients 4 --warmup 1 --repeat 3)
-  # Scene-store comparison: the widened scene-size mix is the bench
-  # binary's --scene-sweep default; the budget defaults to half the
-  # unbounded pass's peak resident bytes.
-  SCENES_FLAGS+=(--jobs 24 --width 320 --height 240
-                 --workers 2 --warmup 1 --repeat 3)
+  # Canonical: bench_micro defaults; the sweep at the bench's 128x96
+  # default, the other comparisons at 320x240. The fleet and faults
+  # comparisons keep the default mixed scene sizes so the rendezvous hash
+  # spreads load across both shards.
+  COMMON+=(--warmup 1 --repeat 3)
+  SERVICE_FLAGS=(--jobs 24)
+  WIRE_FLAGS=(--jobs 16 --width 320 --height 240 --scene-size 20000
+              --workers 2 --clients 4)
+  FLEET_FLAGS=(--jobs 16 --width 320 --height 240 --workers 2 --clients 4)
+  SCENES_FLAGS=(--jobs 24 --width 320 --height 240 --workers 2)
 fi
 
 # ${arr[@]+...} guards: expanding an empty array under `set -u` is an
@@ -105,40 +84,39 @@ fi
 # is empty exactly in canonical mode.
 echo "== bench_micro ${MICRO_FLAGS[*]:-<canonical defaults>}"
 "$MICRO" ${MICRO_FLAGS[@]+"${MICRO_FLAGS[@]}"} --json "$TMP/micro.json"
-echo "== bench_service_throughput ${SERVICE_FLAGS[*]}"
-"$SERVICE" "${SERVICE_FLAGS[@]}" --json "$TMP/service.json"
-echo "== bench_service_throughput ${WIRE_FLAGS[*]}"
-"$SERVICE" "${WIRE_FLAGS[@]}" --json "$TMP/wire.json"
-echo "== bench_service_throughput ${FLEET_FLAGS[*]}"
-"$SERVICE" "${FLEET_FLAGS[@]}" --json "$TMP/fleet.json"
-echo "== bench_service_throughput ${FAULTS_FLAGS[*]}"
-"$SERVICE" "${FAULTS_FLAGS[@]}" --json "$TMP/faults.json"
-echo "== bench_service_throughput ${SCENES_FLAGS[*]}"
-"$SERVICE" "${SCENES_FLAGS[@]}" --json "$TMP/scene_store.json"
+# service <section> <comparison> <flags...>
+service() {
+  local section=$1 compare=$2
+  shift 2
+  echo "== bench_service_throughput --compare $compare ${COMMON[*]} $*"
+  "$SERVICE" --compare "$compare" "${COMMON[@]}" "$@" \
+    --json "$TMP/$section.json"
+}
+service service sweep "${SERVICE_FLAGS[@]}"
+service wire wire "${WIRE_FLAGS[@]}"
+service fleet fleet "${FLEET_FLAGS[@]}"
+service faults faults "${FLEET_FLAGS[@]}"
+service scene_store scenes "${SCENES_FLAGS[@]}"
 
 {
-  printf '{"schema":"gaurast-bench-pipeline/v7","quick":%s,"micro":' \
+  printf '{"schema":"gaurast-bench-pipeline/v8","quick":%s,"micro":' \
          "$([[ "$QUICK" == 1 ]] && echo true || echo false)"
   tr -d '\n' < "$TMP/micro.json"
-  printf ',"service":'
-  tr -d '\n' < "$TMP/service.json"
-  printf ',"wire":'
-  tr -d '\n' < "$TMP/wire.json"
-  printf ',"fleet":'
-  tr -d '\n' < "$TMP/fleet.json"
-  printf ',"faults":'
-  tr -d '\n' < "$TMP/faults.json"
-  printf ',"scene_store":'
-  tr -d '\n' < "$TMP/scene_store.json"
+  for section in service wire fleet faults scene_store; do
+    printf ',"%s":' "$section"
+    tr -d '\n' < "$TMP/$section.json"
+  done
   printf '}\n'
 } > "$OUT"
 
 SPEEDUP=$(sed -n 's/.*"raster_fast_speedup":\([0-9.]*\).*/\1/p' "$OUT")
+SWEEP=$(sed -n 's/.*"sweep_speedup":\([0-9.]*\).*/\1/p' "$OUT")
 WIRE_REL=$(sed -n 's/.*"wire_relative_throughput":\([0-9.]*\).*/\1/p' "$OUT")
 FLEET_REL=$(sed -n 's/.*"routed_relative_throughput":\([0-9.]*\).*/\1/p' "$OUT")
 FAULT_REL=$(sed -n 's/.*"faulted_relative_throughput":\([0-9.]*\).*/\1/p' "$OUT")
 STORE_REL=$(sed -n 's/.*"budgeted_relative_throughput":\([0-9.]*\).*/\1/p' "$OUT")
 echo "Wrote $OUT (raster fast-vs-reference speedup: ${SPEEDUP:-n/a}x," \
+     "service widest-vs-1-worker sweep: ${SWEEP:-n/a}x," \
      "wire-vs-in-process serve: ${WIRE_REL:-n/a}x," \
      "routed-vs-direct fleet: ${FLEET_REL:-n/a}x," \
      "faulted-vs-clean fleet: ${FAULT_REL:-n/a}x," \
