@@ -54,13 +54,9 @@ GaussianTally walk_gaussian_tiles(const std::vector<pipeline::Splat2D>& splats,
       load.fill_bytes = range.size() * prim_bytes + tile_state_bytes;
       tally.primitives += range.size();
 
-      const int px0 = tx * grid.tile_size;
-      const int py0 = ty * grid.tile_size;
-      const int px1 = std::min(px0 + grid.tile_size, grid.width);
-      const int py1 = std::min(py0 + grid.tile_size, grid.height);
-
-      for (int py = py0; py < py1; ++py) {
-        for (int px = px0; px < px1; ++px) {
+      const pipeline::TileBounds tile = grid.tile_bounds(tile_id);
+      for (int py = tile.y0; py < tile.y1; ++py) {
+        for (int px = tile.x0; px < tile.x1; ++px) {
           pipeline::PixelBlendState state;
           const Vec2f pixel{static_cast<float>(px) + 0.5f,
                             static_cast<float>(py) + 0.5f};

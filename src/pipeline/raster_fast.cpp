@@ -8,9 +8,16 @@
 //    pixel loops stream contiguous floats instead of re-chasing a 48-byte
 //    AoS record per (pixel, splat) pair.
 //  * Row batches: pixels are processed kRasterLaneWidth at a time with
-//    per-lane transmittance/accumulator arrays and a branch-light lane loop
-//    the compiler can auto-vectorize; a batch early-outs of the splat walk
-//    as soon as every lane has saturated.
+//    per-lane transmittance/accumulator arrays. The batch tracks how many
+//    lanes are still live (a lane leaves only when a blend drops its
+//    transmittance below transmittance_min) and abandons the splat walk
+//    once none is.
+//  * Band skip: gsmath::power_band gives each splat a row and a column band
+//    outside which its float power is provably below the exp() cutoff. A
+//    (batch, splat) step whose row, or whose nearest column, lies outside
+//    the band does no lane work at all — most steps of a frame, since a
+//    splat's cutoff ellipse covers a small part of the tiles it is binned
+//    to.
 //  * exp() cutoff: alpha_cutoff_power() gives a conservative power bound
 //    below which the reference kernel provably discards the pair
 //    (alpha < alpha_min), so the transcendental is skipped for pairs that
@@ -22,7 +29,10 @@
 // sequence — acc += color * (alpha * T); T *= (1 - alpha) — and the skip
 // conditions only ever drop pairs the reference discards. Stats totals
 // (pairs_evaluated, pairs_blended, pixels_terminated, pairs_per_tile) also
-// match exactly; the stats-off instantiation carries no accounting at all.
+// match exactly: a skipped step still counts its live lanes as evaluated,
+// as the reference counts the pairs it rejects. They accumulate in per-tile
+// locals, added to the caller's RasterStats once per tile; the stats-off
+// instantiation carries no accounting at all.
 
 #include <algorithm>
 #include <cmath>
@@ -34,16 +44,11 @@ namespace gaurast::pipeline {
 
 void RasterScratch::ensure(std::size_t n) {
   if (mean_x.size() >= n) return;
-  mean_x.resize(n);
-  mean_y.resize(n);
-  conic_a.resize(n);
-  conic_b.resize(n);
-  conic_c.resize(n);
-  opacity.resize(n);
-  cutoff.resize(n);
-  color_r.resize(n);
-  color_g.resize(n);
-  color_b.resize(n);
+  for (std::vector<float>* v :
+       {&mean_x, &mean_y, &conic_a, &conic_b, &conic_c, &opacity, &cutoff,
+        &band_x, &band_y, &color_r, &color_g, &color_b}) {
+    v->resize(n);
+  }
 }
 
 RasterScratch& thread_raster_scratch() {
@@ -54,12 +59,10 @@ RasterScratch& thread_raster_scratch() {
 namespace {
 
 template <bool kCollectStats>
-void raster_tile_fast(const std::vector<Splat2D>& splats,
-                      const TileWorkload& work, const BlendParams& params,
-                      const float* splat_cutoffs, std::uint32_t tile_id,
-                      Image& image, RasterStats* stats,
-                      RasterScratch& scratch) {
-  const TileGrid& grid = work.grid;
+void raster_tile(const std::vector<Splat2D>& splats, const TileWorkload& work,
+                 const BlendParams& params,
+                 const detail::FastSplatBounds* bounds, std::uint32_t tile_id,
+                 Image& image, RasterStats* stats, RasterScratch& scratch) {
   const TileRange range = work.ranges[tile_id];
   const std::size_t count = range.size();
   if (count == 0) return;
@@ -74,32 +77,30 @@ void raster_tile_fast(const std::vector<Splat2D>& splats,
   float* const cc = scratch.conic_c.data();
   float* const op = scratch.opacity.data();
   float* const cut = scratch.cutoff.data();
+  float* const bandx = scratch.band_x.data();
+  float* const bandy = scratch.band_y.data();
   float* const cr = scratch.color_r.data();
   float* const cg = scratch.color_g.data();
   float* const cbl = scratch.color_b.data();
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint32_t index = work.instances[range.begin + i].splat_index;
     const Splat2D& sp = splats[index];
+    const detail::FastSplatBounds& bound = bounds[index];
     mx[i] = sp.mean.x;
     my[i] = sp.mean.y;
     ca[i] = sp.conic.a;
     cb[i] = sp.conic.b;
     cc[i] = sp.conic.c;
     op[i] = sp.opacity;
-    cut[i] = splat_cutoffs[index];
+    cut[i] = bound.cutoff;
+    bandx[i] = bound.band.x;
+    bandy[i] = bound.band.y;
     cr[i] = sp.color.x;
     cg[i] = sp.color.y;
     cbl[i] = sp.color.z;
   }
 
-  const int tiles_x = grid.tiles_x();
-  const int tx = static_cast<int>(tile_id) % tiles_x;
-  const int ty = static_cast<int>(tile_id) / tiles_x;
-  const int px0 = tx * grid.tile_size;
-  const int py0 = ty * grid.tile_size;
-  const int px1 = std::min(px0 + grid.tile_size, grid.width);
-  const int py1 = std::min(py0 + grid.tile_size, grid.height);
-
+  const TileBounds tile = work.grid.tile_bounds(tile_id);
   constexpr int kW = kRasterLaneWidth;
   const float t_min = params.transmittance_min;
   const float alpha_min = params.alpha_min;
@@ -109,48 +110,50 @@ void raster_tile_fast(const std::vector<Splat2D>& splats,
   // false). The lane loop handles that branch explicitly so the kernel
   // stays exact for every BlendParams, not just the defaults.
   const bool blend_zero_alpha = !(alpha_min > 0.0f);
+  // A pixel whose untouched transmittance is already below the threshold
+  // stops before its first pair (transmittance_min > 1).
+  const bool starts_live = !(1.0f < t_min);
 
-  for (int py = py0; py < py1; ++py) {
+  // This tile's stats, added to *stats once at the end.
+  std::uint64_t evaluated = 0;
+  std::uint64_t blended = 0;
+  std::uint64_t terminated = 0;
+
+  for (int py = tile.y0; py < tile.y1; ++py) {
     const float pyc = static_cast<float>(py) + 0.5f;
-    for (int bx = px0; bx < px1; bx += kW) {
-      const int lanes = std::min(kW, px1 - bx);
+    for (int bx = tile.x0; bx < tile.x1; bx += kW) {
+      const int lanes = std::min(kW, tile.x1 - bx);
       float acc_r[kW] = {};
       float acc_g[kW] = {};
       float acc_b[kW] = {};
       float tr[kW];
       float pxc[kW];
-      bool counted[kW] = {};  // pixels_terminated bookkeeping (stats only)
       for (int j = 0; j < lanes; ++j) {
         tr[j] = 1.0f;
         pxc[j] = static_cast<float>(bx + j) + 0.5f;
       }
+      int live = starts_live ? lanes : 0;
+      if constexpr (kCollectStats) {
+        terminated += static_cast<std::uint64_t>(lanes - live);
+      }
 
-      for (std::size_t i = 0; i < count; ++i) {
-        // Saturation check first, exactly as the reference kernel checks
-        // transmittance before evaluating each pair. A lane that crossed
-        // the threshold with splats still pending counts as terminated
-        // (once); when every lane is saturated the batch abandons the
-        // remaining splats.
-        int live = 0;
-        for (int j = 0; j < lanes; ++j) {
-          if (tr[j] < t_min) {
-            if constexpr (kCollectStats) {
-              if (!counted[j]) {
-                counted[j] = true;
-                ++stats->pixels_terminated;
-              }
-            }
-          } else {
-            ++live;
-          }
-        }
-        if (live == 0) break;
+      for (std::size_t i = 0; i < count && live > 0; ++i) {
+        // Every live lane evaluates this pair in the reference kernel, even
+        // when the band skip below rejects it without lane work.
         if constexpr (kCollectStats) {
-          stats->pairs_evaluated += static_cast<std::uint64_t>(live);
-          stats->pairs_per_tile[tile_id] += static_cast<std::uint64_t>(live);
+          evaluated += static_cast<std::uint64_t>(live);
         }
-
+        const float dy = pyc - my[i];
+        const float dy2 = dy * dy;
+        if (dy2 * bandy[i] > 1.0f) continue;  // row outside the band
         const float smx = mx[i];
+        // The batch's smallest |dx|: offsets grow with the lane index.
+        const float dx_first = pxc[0] - smx;
+        const float dx_last = pxc[lanes - 1] - smx;
+        const float dx_near =
+            dx_first > 0.0f ? dx_first : (dx_last < 0.0f ? dx_last : 0.0f);
+        if (dx_near * dx_near * bandx[i] > 1.0f) continue;  // columns too
+
         const float sa = ca[i];
         const float sb = cb[i];
         const float sc = cc[i];
@@ -159,8 +162,9 @@ void raster_tile_fast(const std::vector<Splat2D>& splats,
         const float sr = cr[i];
         const float sg = cg[i];
         const float sbl = cbl[i];
-        const float dy = pyc - my[i];
-        const float dy2 = dy * dy;
+        // A lane saturated by this pair stops here; the reference counts it
+        // as terminated when it has another pair to refuse.
+        const bool more_pairs = i + 1 < count;
 
         for (int j = 0; j < lanes; ++j) {
           const float t = tr[j];
@@ -172,14 +176,15 @@ void raster_tile_fast(const std::vector<Splat2D>& splats,
           const float power = -0.5f * (sa * dx2 + sc * dy2) - sb * dxdy;
           if (power > 0.0f) {
             // Reference numerical guard: alpha = 0. Only blends (as an
-            // exact no-op product) when alpha_min <= 0.
+            // exact no-op product, which leaves T unchanged) when
+            // alpha_min <= 0.
             if (blend_zero_alpha) {
               const float w = 0.0f * t;
               acc_r[j] += sr * w;
               acc_g[j] += sg * w;
               acc_b[j] += sbl * w;
               tr[j] = t * 1.0f;
-              if constexpr (kCollectStats) ++stats->pairs_blended;
+              if constexpr (kCollectStats) ++blended;
             }
             continue;
           }
@@ -191,7 +196,11 @@ void raster_tile_fast(const std::vector<Splat2D>& splats,
           acc_g[j] += sg * w;
           acc_b[j] += sbl * w;
           tr[j] = t * (1.0f - alpha);
-          if constexpr (kCollectStats) ++stats->pairs_blended;
+          if constexpr (kCollectStats) ++blended;
+          if (tr[j] < t_min) {
+            --live;
+            if constexpr (kCollectStats) terminated += more_pairs ? 1 : 0;
+          }
         }
       }
 
@@ -203,28 +212,30 @@ void raster_tile_fast(const std::vector<Splat2D>& splats,
       }
     }
   }
+
+  if constexpr (kCollectStats) {
+    stats->pairs_evaluated += evaluated;
+    stats->pairs_per_tile[tile_id] += evaluated;
+    stats->pairs_blended += blended;
+    stats->pixels_terminated += terminated;
+  }
 }
 
 }  // namespace
 
 namespace detail {
 
-void raster_span_fast(const std::vector<Splat2D>& splats,
+void raster_tile_fast(const std::vector<Splat2D>& splats,
                       const TileWorkload& work, const BlendParams& params,
-                      const float* splat_cutoffs, std::uint32_t tile_begin,
-                      std::uint32_t tile_end, Image& image,
-                      RasterStats* stats) {
+                      const FastSplatBounds* bounds, std::uint32_t tile_id,
+                      Image& image, RasterStats* stats) {
   RasterScratch& scratch = thread_raster_scratch();
   if (stats) {
-    for (std::uint32_t t = tile_begin; t < tile_end; ++t) {
-      raster_tile_fast<true>(splats, work, params, splat_cutoffs, t, image,
-                             stats, scratch);
-    }
+    raster_tile<true>(splats, work, params, bounds, tile_id, image, stats,
+                      scratch);
   } else {
-    for (std::uint32_t t = tile_begin; t < tile_end; ++t) {
-      raster_tile_fast<false>(splats, work, params, splat_cutoffs, t, image,
-                              nullptr, scratch);
-    }
+    raster_tile<false>(splats, work, params, bounds, tile_id, image, nullptr,
+                       scratch);
   }
 }
 

@@ -4,9 +4,9 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/parallel_for.hpp"
 #include "gsmath/conic.hpp"
 #include "gsmath/fastmath.hpp"
+#include "pipeline/for_each_tile.hpp"
 
 namespace gaurast::pipeline {
 
@@ -40,53 +40,43 @@ bool accumulate(PixelBlendState& state, float alpha, Vec3f color,
 
 namespace {
 
-/// Rasterizes tiles [tile_begin, tile_end) into `image`, accumulating stats
-/// into `*stats` when kCollectStats. Tiles write disjoint pixels, so
-/// concurrent workers are safe. Templating hoists the stats bookkeeping out
-/// of the stats-off instantiation entirely — when the caller passed no
-/// RasterStats, the inner loop carries zero accounting overhead.
+/// Rasterizes one tile into `image`, accumulating stats into `*stats` when
+/// kCollectStats. Tiles write disjoint pixels, so concurrent workers are
+/// safe. Templating hoists the stats bookkeeping out of the stats-off
+/// instantiation entirely — when the caller passed no RasterStats, the
+/// inner loop carries zero accounting overhead.
 template <bool kCollectStats>
-void rasterize_tile_span(const std::vector<Splat2D>& splats,
-                         const TileWorkload& work, const BlendParams& params,
-                         std::uint32_t tile_begin, std::uint32_t tile_end,
-                         Image& image, RasterStats* stats) {
-  const TileGrid& grid = work.grid;
-  const int tiles_x = grid.tiles_x();
-  for (std::uint32_t tile_id = tile_begin; tile_id < tile_end; ++tile_id) {
-    const TileRange range = work.ranges[tile_id];
-    if (range.size() == 0) continue;
-    const int tx = static_cast<int>(tile_id) % tiles_x;
-    const int ty = static_cast<int>(tile_id) / tiles_x;
-    const int px0 = tx * grid.tile_size;
-    const int py0 = ty * grid.tile_size;
-    const int px1 = std::min(px0 + grid.tile_size, grid.width);
-    const int py1 = std::min(py0 + grid.tile_size, grid.height);
+void rasterize_tile(const std::vector<Splat2D>& splats,
+                    const TileWorkload& work, const BlendParams& params,
+                    std::uint32_t tile_id, Image& image, RasterStats* stats) {
+  const TileRange range = work.ranges[tile_id];
+  if (range.size() == 0) return;
+  const TileBounds tile = work.grid.tile_bounds(tile_id);
 
-    // Reference-kernel iteration order: each pixel walks the depth-sorted
-    // splat list until its transmittance crosses the threshold.
-    for (int py = py0; py < py1; ++py) {
-      for (int px = px0; px < px1; ++px) {
-        PixelBlendState st;
-        const Vec2f pixel{static_cast<float>(px) + 0.5f,
-                          static_cast<float>(py) + 0.5f};
-        for (std::uint32_t i = range.begin; i < range.end; ++i) {
-          if (st.transmittance < params.transmittance_min) {
-            if constexpr (kCollectStats) ++stats->pixels_terminated;
-            break;
-          }
-          const Splat2D& sp = splats[work.instances[i].splat_index];
-          if constexpr (kCollectStats) {
-            ++stats->pairs_evaluated;
-            ++stats->pairs_per_tile[tile_id];
-          }
-          const float alpha = eval_splat_alpha(sp, pixel, params);
-          if (accumulate(st, alpha, sp.color, params)) {
-            if constexpr (kCollectStats) ++stats->pairs_blended;
-          }
+  // Reference-kernel iteration order: each pixel walks the depth-sorted
+  // splat list until its transmittance crosses the threshold.
+  for (int py = tile.y0; py < tile.y1; ++py) {
+    for (int px = tile.x0; px < tile.x1; ++px) {
+      PixelBlendState st;
+      const Vec2f pixel{static_cast<float>(px) + 0.5f,
+                        static_cast<float>(py) + 0.5f};
+      for (std::uint32_t i = range.begin; i < range.end; ++i) {
+        if (st.transmittance < params.transmittance_min) {
+          if constexpr (kCollectStats) ++stats->pixels_terminated;
+          break;
         }
-        image.at(px, py) =
-            st.accumulated + params.background * st.transmittance;
+        const Splat2D& sp = splats[work.instances[i].splat_index];
+        if constexpr (kCollectStats) {
+          ++stats->pairs_evaluated;
+          ++stats->pairs_per_tile[tile_id];
+        }
+        const float alpha = eval_splat_alpha(sp, pixel, params);
+        if (accumulate(st, alpha, sp.color, params)) {
+          if constexpr (kCollectStats) ++stats->pairs_blended;
+        }
       }
+      image.at(px, py) =
+          st.accumulated + params.background * st.transmittance;
     }
   }
 }
@@ -95,16 +85,14 @@ void rasterize_tile_span(const std::vector<Splat2D>& splats,
 
 namespace detail {
 
-void raster_span_reference(const std::vector<Splat2D>& splats,
+void raster_tile_reference(const std::vector<Splat2D>& splats,
                            const TileWorkload& work, const BlendParams& params,
-                           std::uint32_t tile_begin, std::uint32_t tile_end,
-                           Image& image, RasterStats* stats) {
+                           std::uint32_t tile_id, Image& image,
+                           RasterStats* stats) {
   if (stats) {
-    rasterize_tile_span<true>(splats, work, params, tile_begin, tile_end,
-                              image, stats);
+    rasterize_tile<true>(splats, work, params, tile_id, image, stats);
   } else {
-    rasterize_tile_span<false>(splats, work, params, tile_begin, tile_end,
-                               image, nullptr);
+    rasterize_tile<false>(splats, work, params, tile_id, image, nullptr);
   }
 }
 
@@ -129,70 +117,54 @@ void rasterize_into(Image& image, const std::vector<Splat2D>& splats,
   for (Vec3f& pixel : image.pixels()) pixel = params.background;
   const std::uint32_t tiles = grid.tile_count();
 
-  // The fast kernel's exp()-skip bound depends only on frame-constant
-  // inputs (alpha_min, opacity), so compute it once per splat here rather
-  // than per duplicated tile instance during staging — or, when the caller
-  // supplies a matching per-scene precompute, gather the values it already
-  // holds (identical floats: same alpha_cutoff_power of the same inputs).
-  std::vector<float> cutoffs;
+  // The fast kernel's skip bounds depend only on frame-constant inputs
+  // (alpha_min, opacity, conic, mean), so compute them once per splat here
+  // rather than per duplicated tile instance during staging. A caller's
+  // matching per-scene precompute supplies the cutoffs it already holds
+  // (identical floats: same alpha_cutoff_power of the same inputs); the
+  // bands depend on the view, so they are always computed per frame.
+  std::vector<detail::FastSplatBounds> bounds;
   if (kernel == RasterKernel::kFast) {
     const bool reuse = precompute != nullptr &&
                        precompute->cutoff_alpha_min == params.alpha_min &&
                        !precompute->raster_cutoff.empty();
-    cutoffs.resize(splats.size());
+    bounds.resize(splats.size());
     for (std::size_t i = 0; i < splats.size(); ++i) {
-      cutoffs[i] =
-          reuse ? precompute->raster_cutoff[splats[i].source_id]
-                : alpha_cutoff_power(params.alpha_min, splats[i].opacity);
+      const Splat2D& sp = splats[i];
+      detail::FastSplatBounds& b = bounds[i];
+      b.cutoff = reuse ? precompute->raster_cutoff[sp.source_id]
+                       : alpha_cutoff_power(params.alpha_min, sp.opacity);
+      b.band = power_band(sp.conic, sp.mean, b.cutoff, grid.width,
+                          grid.height);
     }
   }
-  const auto span = [&](std::uint32_t begin, std::uint32_t end,
-                        RasterStats* local) {
+
+  const std::size_t workers = std::min<std::size_t>(
+      static_cast<std::size_t>(num_threads), std::max<std::uint32_t>(tiles, 1));
+  std::vector<RasterStats> per_worker(stats ? workers : 0);
+  for (RasterStats& st : per_worker) st.pairs_per_tile.assign(tiles, 0);
+  for_each_tile(tiles, workers, [&](std::size_t w, std::uint32_t tile) {
+    RasterStats* local = stats ? &per_worker[w] : nullptr;
     if (kernel == RasterKernel::kFast) {
-      detail::raster_span_fast(splats, work, params, cutoffs.data(), begin,
-                               end, image, local);
+      detail::raster_tile_fast(splats, work, params, bounds.data(), tile,
+                               image, local);
     } else {
-      detail::raster_span_reference(splats, work, params, begin, end, image,
-                                    local);
+      detail::raster_tile_reference(splats, work, params, tile, image, local);
     }
-  };
-
-  if (num_threads == 1 || tiles < 2) {
-    if (stats) {
-      RasterStats local;
-      local.pairs_per_tile.assign(tiles, 0);
-      span(0, tiles, &local);
-      *stats = std::move(local);
-    } else {
-      span(0, tiles, nullptr);
-    }
-    return;
-  }
-
-  const auto workers = static_cast<std::uint32_t>(
-      std::min<std::uint32_t>(static_cast<std::uint32_t>(num_threads), tiles));
-  std::vector<RasterStats> per_thread(stats ? workers : 0);
-  for (auto& st : per_thread) st.pairs_per_tile.assign(tiles, 0);
-  common::parallel_for_workers(workers, [&](std::size_t w) {
-    const auto worker = static_cast<std::uint32_t>(w);
-    const std::uint32_t begin = tiles * worker / workers;
-    const std::uint32_t end = tiles * (worker + 1) / workers;
-    span(begin, end, stats ? &per_thread[worker] : nullptr);
   });
 
-  if (stats) {
-    RasterStats merged;
-    merged.pairs_per_tile.assign(tiles, 0);
-    for (const RasterStats& st : per_thread) {
-      merged.pairs_evaluated += st.pairs_evaluated;
-      merged.pairs_blended += st.pairs_blended;
-      merged.pixels_terminated += st.pixels_terminated;
-      for (std::uint32_t t = 0; t < tiles; ++t) {
-        merged.pairs_per_tile[t] += st.pairs_per_tile[t];
-      }
+  if (!stats) return;
+  RasterStats merged = std::move(per_worker[0]);
+  for (std::size_t w = 1; w < workers; ++w) {
+    const RasterStats& st = per_worker[w];
+    merged.pairs_evaluated += st.pairs_evaluated;
+    merged.pairs_blended += st.pairs_blended;
+    merged.pixels_terminated += st.pixels_terminated;
+    for (std::uint32_t t = 0; t < tiles; ++t) {
+      merged.pairs_per_tile[t] += st.pairs_per_tile[t];
     }
-    *stats = std::move(merged);
   }
+  *stats = std::move(merged);
 }
 
 }  // namespace gaurast::pipeline

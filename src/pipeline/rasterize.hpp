@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "gsmath/fastmath.hpp"
 #include "gsmath/image.hpp"
 #include "pipeline/sort.hpp"
 
@@ -20,9 +21,10 @@ namespace gaurast::pipeline {
 /// kReference is the scalar oracle: per-pixel front-to-back blending exactly
 /// as the paper's CUDA kernel (and the GauRast PE datapath) computes it.
 /// kFast is the optimized host kernel: it stages each tile's splats once
-/// into SoA scratch arrays, walks pixels in fixed-width row batches the
-/// compiler can auto-vectorize, and skips exp() for pairs provably below
-/// the blend threshold — while remaining bit-identical to kReference
+/// into SoA scratch arrays, walks pixels in fixed-width row batches, skips
+/// a whole batch for a splat whose row or column band (gsmath::power_band)
+/// puts every pair below the blend threshold, and skips exp() for single
+/// pairs provably below it — while remaining bit-identical to kReference
 /// (enforced by the raster_fast_test golden matrix).
 enum class RasterKernel {
   kReference,
@@ -51,11 +53,11 @@ struct BlendParams {
 float eval_splat_alpha(const Splat2D& splat, Vec2f pixel,
                        const BlendParams& params);
 
-/// Running blend state of one pixel.
+/// Running blend state of one pixel. The walk over its splats stops once
+/// transmittance falls below BlendParams::transmittance_min.
 struct PixelBlendState {
   Vec3f accumulated{0, 0, 0};
   float transmittance = 1.0f;
-  bool terminated() const { return transmittance < 1e-4f; }
 };
 
 /// Applies one splat contribution front-to-back:
@@ -86,7 +88,7 @@ struct RasterStats {
 struct RasterScratch {
   std::vector<float> mean_x, mean_y;
   std::vector<float> conic_a, conic_b, conic_c;
-  std::vector<float> opacity, cutoff;
+  std::vector<float> opacity, cutoff, band_x, band_y;
   std::vector<float> color_r, color_g, color_b;
 
   /// Grows every array to hold at least `n` splats; never shrinks.
@@ -102,33 +104,38 @@ struct RasterScratch {
 RasterScratch& thread_raster_scratch();
 
 namespace detail {
-/// Reference (scalar oracle) kernel over tiles [tile_begin, tile_end).
-/// `stats` may be null, in which case no counter is touched (the stats-off
-/// instantiation carries zero bookkeeping in the inner loop).
-void raster_span_reference(const std::vector<Splat2D>& splats,
+/// Reference (scalar oracle) kernel for one tile. `stats` may be null, in
+/// which case no counter is touched (the stats-off instantiation carries
+/// zero bookkeeping in the inner loop).
+void raster_tile_reference(const std::vector<Splat2D>& splats,
                            const TileWorkload& work, const BlendParams& params,
-                           std::uint32_t tile_begin, std::uint32_t tile_end,
-                           Image& image, RasterStats* stats);
+                           std::uint32_t tile_id, Image& image,
+                           RasterStats* stats);
 
-/// Fast kernel over tiles [tile_begin, tile_end); bit-identical images and
-/// identical stats totals to raster_span_reference. Uses the calling
-/// thread's RasterScratch. `splat_cutoffs` holds one precomputed
-/// gsmath::alpha_cutoff_power value per splat (computed once per frame by
-/// rasterize(), not per duplicated tile instance).
-void raster_span_fast(const std::vector<Splat2D>& splats,
+/// The fast kernel's per-splat constants, computed once per frame by
+/// rasterize_into() rather than per duplicated tile instance.
+struct FastSplatBounds {
+  float cutoff = 0.0f;  ///< gsmath::alpha_cutoff_power(alpha_min, opacity)
+  PowerBand band;       ///< gsmath::power_band(conic, mean, cutoff, frame)
+};
+
+/// Fast kernel for one tile; bit-identical image and identical stats to
+/// raster_tile_reference. Uses the calling thread's RasterScratch.
+/// `bounds` holds one entry per splat.
+void raster_tile_fast(const std::vector<Splat2D>& splats,
                       const TileWorkload& work, const BlendParams& params,
-                      const float* splat_cutoffs, std::uint32_t tile_begin,
-                      std::uint32_t tile_end, Image& image,
-                      RasterStats* stats);
+                      const FastSplatBounds* bounds, std::uint32_t tile_id,
+                      Image& image, RasterStats* stats);
 }  // namespace detail
 
 /// Rasterizes the sorted tile workload over all pixels. Mirrors the
 /// reference CUDA kernel: every pixel of a tile walks the tile's
 /// depth-sorted splat list, evaluating alpha and accumulating until the
 /// transmittance threshold. Tiles are independent, so `num_threads` > 1
-/// splits them across host threads with bit-identical results (per-thread
-/// statistics are merged deterministically). `kernel` selects the Step-3
-/// software kernel; both produce bit-identical images and stats.
+/// workers claim them one at a time (for_each_tile) with bit-identical
+/// results (per-worker statistics are integer sums, merged after the
+/// walk). `kernel` selects the Step-3 software kernel; both produce
+/// bit-identical images and stats.
 /// `precompute` (nullable) supplies the per-scene raster cutoffs the fast
 /// kernel otherwise recomputes each frame; it is consulted only when its
 /// cutoff_alpha_min matches params.alpha_min, so passing it is always safe.

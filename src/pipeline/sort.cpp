@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/parallel_for.hpp"
+#include "pipeline/for_each_tile.hpp"
 
 namespace gaurast::pipeline {
 
@@ -203,20 +204,17 @@ void parallel_bin_and_sort(const std::vector<Splat2D>& splats,
   }
 
   // Pass 2 — scatter into tile buckets (stable: thread order == splat
-  // order), then pass 3 — per-tile depth sort, tiles fanned across threads.
+  // order), then pass 3 — per-tile depth sort, tiles claimed dynamically.
   common::parallel_for_workers(workers, [&](std::size_t w) {
     std::vector<std::uint32_t>& cur = cursor[w];
     for (const TileInstance& ti : local[w]) {
       work.instances[cur[ti.tile()]++] = ti;
     }
   });
-  common::parallel_for_workers(workers, [&](std::size_t w) {
-    std::vector<TileInstance> scratch;
-    for (std::uint32_t t = static_cast<std::uint32_t>(w); t < tiles;
-         t += static_cast<std::uint32_t>(workers)) {
-      sort_tile_bucket_by_depth(work.instances.data() + tile_begin[t],
-                                tile_begin[t + 1] - tile_begin[t], scratch);
-    }
+  std::vector<std::vector<TileInstance>> scratch(workers);
+  for_each_tile(tiles, workers, [&](std::size_t w, std::uint32_t t) {
+    sort_tile_bucket_by_depth(work.instances.data() + tile_begin[t],
+                              tile_begin[t + 1] - tile_begin[t], scratch[w]);
   });
 }
 

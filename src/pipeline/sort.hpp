@@ -8,12 +8,21 @@
 // sort, and the structure GauRast's tile buffers are filled from.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "pipeline/preprocess.hpp"
 
 namespace gaurast::pipeline {
+
+/// Pixel rectangle [x0, x1) x [y0, y1) one tile covers, clipped to the image.
+struct TileBounds {
+  int x0 = 0;
+  int y0 = 0;
+  int x1 = 0;
+  int y1 = 0;
+};
 
 /// Screen tiling parameters. 16x16 matches the reference implementation and
 /// the paper's tile-buffer granularity.
@@ -27,6 +36,19 @@ struct TileGrid {
   std::uint32_t tile_count() const {
     return static_cast<std::uint32_t>(tiles_x()) *
            static_cast<std::uint32_t>(tiles_y());
+  }
+
+  /// Pixels of tile `tile_id` (row-major tile order); edge tiles are
+  /// clipped to the image.
+  TileBounds tile_bounds(std::uint32_t tile_id) const {
+    const int tx = static_cast<int>(tile_id) % tiles_x();
+    const int ty = static_cast<int>(tile_id) / tiles_x();
+    TileBounds b;
+    b.x0 = tx * tile_size;
+    b.y0 = ty * tile_size;
+    b.x1 = std::min(b.x0 + tile_size, width);
+    b.y1 = std::min(b.y0 + tile_size, height);
+    return b;
   }
 };
 

@@ -165,7 +165,8 @@ TEST(PeGaussian, TransmittanceNeverNegative) {
   const pipeline::BlendParams params;
   sim::CounterSet counters;
   pipeline::PixelBlendState state;
-  for (int i = 0; i < 500 && !state.terminated(); ++i) {
+  for (int i = 0;
+       i < 500 && !(state.transmittance < params.transmittance_min); ++i) {
     const pipeline::Splat2D s = random_splat(rng);
     pe_gaussian_pair(s, s.mean, state, params, Precision::kFp32, counters);
     EXPECT_GE(state.transmittance, 0.0f);

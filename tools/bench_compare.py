@@ -6,8 +6,10 @@ Usage: bench_compare.py BASELINE.json CURRENT.json [--summary FILE]
 BASELINE is the committed canonical trajectory (BENCH_pipeline.json at the
 repo root); CURRENT is a fresh run, typically CI's quick-mode
 BENCH_pipeline.quick.json. The two run different configurations (canonical
-vs quick), so absolute timings are not comparable — what the gate enforces
-is the report's *shape*:
+vs quick), so absolute timings are not comparable. The gate enforces the
+current report's within-run ratio floors (FLOORS below: a ratio of two
+timings taken in one run compares across configs) and the report's
+*shape*:
 
   * every schema tag (top-level and per-section) is one this gate knows;
     unknown schemas are rejected uniformly, in both reports, so a tag typo
@@ -29,7 +31,7 @@ is the report's *shape*:
 It also writes an informational current/baseline ratio table (markdown) to
 --summary, or to $GITHUB_STEP_SUMMARY when set, or stdout — so every CI run
 shows the timing trajectory next to the gate verdict. Exits non-zero on any
-shape violation.
+floor or shape violation.
 """
 
 import argparse
@@ -73,6 +75,19 @@ KNOWN_SCHEMAS = {
         "gaurast-bench-service-scenes/v2",
     },
 }
+
+
+# (section, derived key, floor): the current report's value must be at
+# least the floor. Each floor is stated once, next to the range it came
+# from; loosening one is a gate change CHANGES.md must justify.
+FLOORS = (
+    # Fast vs reference Step-3 kernel, single thread, in the quick config
+    # (4000 splats at 160x120, medians of 5), on a 4-vCPU x86-64 VM: 10
+    # consecutive quick runs of the band-skip kernel read 11.0-12.7x, and
+    # 11.3-19.5x under `ctest -j4`. The same kernel with a 2x busy-wait
+    # read 4.8-5.9x; the kernel before the band skip read 4.4-7.8x.
+    ("micro", "raster_fast_speedup", 8.0),
+)
 
 
 def unknown_schema_errors(label, report):
@@ -180,13 +195,26 @@ def check_shape(baseline, current):
     return errors
 
 
+def check_floors(current):
+    errors = []
+    for section, key, floor in FLOORS:
+        value = current.get(section, {}).get("derived", {}).get(key)
+        if value is None:
+            errors.append(f"{section}.{key} missing: cannot check its floor")
+        elif value < floor:
+            errors.append(
+                f"{section}.{key} = {value:.3f} is below its floor {floor:.3f}"
+            )
+    return errors
+
+
 def ratio_table(baseline, current):
     """Markdown: per-benchmark current/baseline timing ratios + headlines."""
     lines = [
         "### Bench trajectory (current / committed baseline)",
         "",
-        "Configs differ (quick vs canonical), so ratios are informational, "
-        "not thresholds.",
+        "Configs differ (quick vs canonical), so timing ratios are "
+        "informational; the floor column holds the gate's thresholds.",
         "",
         "| benchmark | baseline median | current median | ratio |",
         "|---|---|---|---|",
@@ -203,13 +231,19 @@ def ratio_table(baseline, current):
         cur_text = "missing" if cur_ms is None else f"{cur_ms:.3f} ms"
         lines.append(f"| {name} | {base_ms:.3f} ms | {cur_text} | {ratio} |")
 
-    lines += ["", "| derived metric | baseline | current |", "|---|---|---|"]
+    lines += [
+        "",
+        "| derived metric | baseline | current | floor |",
+        "|---|---|---|---|",
+    ]
+    floors = {(section, key): floor for section, key, floor in FLOORS}
 
     def fmt(value):
         return "n/a" if value is None else f"{value:.3f}x"
 
     for section, key in (
         ("micro", "raster_fast_speedup"),
+        ("micro", "raster_mt_speedup"),
         ("micro", "sort_parallel_speedup"),
         ("service", "sweep_speedup"),
         ("wire", "wire_relative_throughput"),
@@ -222,7 +256,12 @@ def ratio_table(baseline, current):
         cur_val = current.get(section, {}).get("derived", {}).get(key)
         if base_val is None and cur_val is None:
             continue
-        lines.append(f"| {section}.{key} | {fmt(base_val)} | {fmt(cur_val)} |")
+        floor = floors.get((section, key))
+        floor_text = "" if floor is None else fmt(floor)
+        lines.append(
+            f"| {section}.{key} | {fmt(base_val)} | {fmt(cur_val)} "
+            f"| {floor_text} |"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -250,10 +289,13 @@ def main():
     else:
         print(table)
 
-    errors = check_shape(baseline, current)
+    errors = check_floors(current) + check_shape(baseline, current)
     if errors:
         fail(errors)
-    print(f"bench_compare: OK — {args.current} matches the shape of {args.baseline}")
+    print(
+        f"bench_compare: OK — {args.current} clears every floor and matches "
+        f"the shape of {args.baseline}"
+    )
 
 
 if __name__ == "__main__":

@@ -2,9 +2,9 @@
 """Unit tests for bench_compare.py, the bench-regression gate.
 
 Each case seeds a baseline/current pair of reports and checks the gate's
-verdict: a layout change under an unchanged tag, a dropped derived metric
-and an unknown tag fail; a pair that differs only in numbers and list
-lengths (quick vs canonical) passes. Run directly:
+verdict: a layout change under an unchanged tag, a dropped derived metric,
+an unknown tag and a ratio below its floor fail; a pair that differs only
+in numbers and list lengths (quick vs canonical) passes. Run directly:
 
     python3 tools/bench_compare_test.py
 """
@@ -44,7 +44,7 @@ def report(fps: float = 30.0, workers: tuple[int, ...] = (1, 2, 4)) -> dict:
                 {"name": "raster_fast", "median_ms": 60.0},
                 {"name": "raster_reference", "median_ms": 300.0},
             ],
-            "derived": {"raster_fast_speedup": 5.0},
+            "derived": {"raster_fast_speedup": 10.0},
         },
         "service": {
             "schema": "gaurast-bench-service/v2",
@@ -105,6 +105,23 @@ class BenchCompareTest(unittest.TestCase):
             any("current: unknown service schema" in e for e in errors), errors
         )
 
+    def test_ratio_at_or_above_its_floor_passes(self) -> None:
+        current = report()
+        floor = dict(((s, k), f) for s, k, f in bc.FLOORS)
+        current["micro"]["derived"]["raster_fast_speedup"] = floor[
+            ("micro", "raster_fast_speedup")
+        ]
+        self.assertEqual(bc.check_floors(current), [])
+
+    def test_ratio_below_its_floor_fails(self) -> None:
+        # A 2x slower fast kernel halves its speedup over the reference.
+        current = report()
+        current["micro"]["derived"]["raster_fast_speedup"] /= 2.0
+        errors = bc.check_floors(current)
+        self.assertEqual(len(errors), 1, errors)
+        self.assertIn("micro.raster_fast_speedup = 5.000", errors[0])
+        self.assertIn("below its floor", errors[0])
+
     def test_key_paths_merge_array_elements(self) -> None:
         paths = bc.key_paths({"a": [{"b": 1}, {"c": [{"d": 2}]}], "e": 3})
         self.assertEqual(paths, {"a", "a[].b", "a[].c", "a[].c[].d", "e"})
@@ -118,11 +135,15 @@ class BenchCompareTest(unittest.TestCase):
             summary = Path(tmp) / "summary.md"
             base.write_text(json.dumps(report()), encoding="utf-8")
             good.write_text(json.dumps(report(fps=60.0)), encoding="utf-8")
+            slow = Path(tmp) / "slow.json"
             # One new key in one array element is a new merged key path.
             broken = report()
             broken["fleet"]["modes"][1]["stats"][0] = {"queue_ms": 1.0}
             bad.write_text(json.dumps(broken), encoding="utf-8")
-            for current, code in ((good, 0), (bad, 1)):
+            halved = report()
+            halved["micro"]["derived"]["raster_fast_speedup"] = 5.0
+            slow.write_text(json.dumps(halved), encoding="utf-8")
+            for current, code in ((good, 0), (bad, 1), (slow, 1)):
                 run = subprocess.run(
                     [sys.executable, script, base, current, "--summary", summary],
                     capture_output=True,

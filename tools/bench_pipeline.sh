@@ -21,8 +21,9 @@
 # seeded 1%-forward-error / 5%-10ms-delay plan), and budgeted vs unbounded
 # scene store (budget: half the scene classes' quantized bytes). Every
 # service report shares one layout; see the bench's header comment.
-# --quick shrinks everything to small scenes and a single repeat so CI and
-# ctest can exercise the JSON paths and both kernels in seconds.
+# --quick shrinks everything to small scenes and a single repeat (five for
+# bench_micro, whose raster_fast_speedup the gate floors) so CI and ctest
+# can exercise the JSON paths and both kernels in seconds.
 #
 # Usage: tools/bench_pipeline.sh [--build-dir DIR] [--out FILE] [--quick]
 set -euo pipefail
@@ -60,7 +61,8 @@ trap 'rm -rf "$TMP"' EXIT
 MICRO_FLAGS=()
 COMMON=(--backend sw --kernel fast)
 if [[ "$QUICK" == 1 ]]; then
-  MICRO_FLAGS+=(--synthetic 4000 --width 160 --height 120 --warmup 1 --repeat 1)
+  # Five repeats: the gate floors raster_fast_speedup, a ratio of medians.
+  MICRO_FLAGS+=(--synthetic 4000 --width 160 --height 120 --warmup 1 --repeat 5)
   COMMON+=(--width 96 --height 72 --warmup 0 --repeat 1)
   SERVICE_FLAGS=(--jobs 6)
   WIRE_FLAGS=(--jobs 4 --scene-size 2000 --workers 1 --clients 2)
