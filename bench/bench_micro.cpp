@@ -1,9 +1,10 @@
 // bench_micro — microbenchmarks of the substrate implementations: PE
 // datapath throughput, software rasterization (reference vs fast kernel),
 // Step-2 sorting (serial vs parallel binning), preprocessing, the hardware
-// functional model, the triangle reference path and the detailed cycle
-// simulator. These gauge the *simulator's* host-side performance, not
-// modeled hardware numbers.
+// functional model, the triangle reference path, the detailed cycle
+// simulator and a scene-store miss (generate, quantize, dequantize). These
+// gauge the *simulator's* host-side performance, not modeled hardware
+// numbers.
 //
 // Self-contained harness (no third-party benchmark dependency): every
 // benchmark runs `--warmup` unmeasured iterations followed by `--repeat`
@@ -47,6 +48,8 @@
 #include "mesh/raster.hpp"
 #include "pipeline/renderer.hpp"
 #include "scene/generator.hpp"
+#include "scene/quantized.hpp"
+#include "scene/store.hpp"
 
 namespace {
 
@@ -236,6 +239,17 @@ int main(int argc, char** argv) {
       auto r = core::run_detailed_module_sim(
           sim_tiles, core::RasterizerConfig::prototype16());
       (void)r;
+    });
+
+    // A scene-store miss as a shard pays it: the synthetic source
+    // generates straight into the quantized resting form, then the store
+    // dequantizes the working copy.
+    const scene::SyntheticSource source;
+    const std::string scene_key =
+        scene::synthetic_scene_key(params.gaussian_count, params.seed);
+    bench("scene_load", [&] {
+      auto working = scene::dequantize(source.resolve_quantized(scene_key, 0));
+      (void)working;
     });
 
     const auto median_of = [&](const std::string& name) -> double {

@@ -6,6 +6,10 @@
 
 namespace gaurast {
 
+namespace {
+constexpr std::uint64_t kPcgMultiplier = 6364136223846793005ULL;
+}  // namespace
+
 Pcg32::Pcg32(std::uint64_t seed) {
   SplitMix64 mix(seed);
   state_ = mix.next();
@@ -16,7 +20,7 @@ Pcg32::Pcg32(std::uint64_t seed) {
 
 std::uint32_t Pcg32::next_u32() {
   const std::uint64_t old = state_;
-  state_ = old * 6364136223846793005ULL + inc_;
+  state_ = old * kPcgMultiplier + inc_;
   const auto xorshifted =
       static_cast<std::uint32_t>(((old >> 18U) ^ old) >> 27U);
   const auto rot = static_cast<std::uint32_t>(old >> 59U);
@@ -73,6 +77,36 @@ double Pcg32::lognormal(double mu, double sigma) {
 double Pcg32::exponential(double lambda) {
   GAURAST_CHECK(lambda > 0.0);
   return -std::log(1.0 - uniform()) / lambda;
+}
+
+void Pcg32::skip_normals(std::uint64_t n) {
+  if (n == 0) return;
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    --n;
+  }
+  // Every uncached normal() draws two uniforms of two u32 each and serves
+  // two variates; an odd tail computes its pair and caches the second.
+  advance(n / 2 * 4);
+  if (n % 2 == 1) (void)normal();
+}
+
+void Pcg32::advance(std::uint64_t steps) {
+  // Brown, "Random number generation with arbitrary strides" (1994): the
+  // step x -> a*x + c composed `steps` times by repeated squaring.
+  std::uint64_t mult = kPcgMultiplier;
+  std::uint64_t plus = inc_;
+  std::uint64_t acc_mult = 1;
+  std::uint64_t acc_plus = 0;
+  for (; steps > 0; steps >>= 1) {
+    if ((steps & 1) != 0) {
+      acc_mult *= mult;
+      acc_plus = acc_plus * mult + plus;
+    }
+    plus = (mult + 1) * plus;
+    mult *= mult;
+  }
+  state_ = acc_mult * state_ + acc_plus;
 }
 
 }  // namespace gaurast

@@ -64,7 +64,17 @@ class Pcg32 {
   /// Exponential with given rate lambda (> 0).
   double exponential(double lambda);
 
+  /// Leaves the generator exactly as `n` normal() calls would, without
+  /// computing their values: whole Box-Muller pairs are a jump-ahead in
+  /// O(log n), and only a trailing pair, whose second variate stays cached,
+  /// is evaluated. A producer can keep a copy, skip a block of normals, and
+  /// draw the block later (or on another thread) from the copy.
+  void skip_normals(std::uint64_t n);
+
  private:
+  /// Advances the state as `steps` next_u32() calls would, in O(log steps).
+  void advance(std::uint64_t steps);
+
   std::uint64_t state_;
   std::uint64_t inc_;  // stream selector, always odd
   bool has_cached_normal_ = false;

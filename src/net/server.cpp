@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "scene/store.hpp"
 
 namespace gaurast::net {
 
@@ -115,12 +116,6 @@ void Server::handle_render(std::uint64_t conn_id, RenderRequest wire) {
            server_kernel + "', request asked for '" + wire.kernel + "'");
     return;
   }
-  if (wire.gaussian_count > config_.max_gaussian_count) {
-    refuse("gaussian_count " + std::to_string(wire.gaussian_count) +
-           " exceeds the server limit of " +
-           std::to_string(config_.max_gaussian_count));
-    return;
-  }
   if (want_image) {
     const std::uint64_t image_bytes =
         std::uint64_t(wire.width) * std::uint64_t(wire.height) * 3u * 4u;
@@ -135,12 +130,23 @@ void Server::handle_render(std::uint64_t conn_id, RenderRequest wire) {
   std::optional<scene::Camera> camera;
   try {
     camera.emplace(wire.camera());
-    scene = service_.scene(wire.scene_key());
+    // The splat cap applies to the resolved key, so the `scene` spelling
+    // and the legacy gaussian_count field meet the same limit before a
+    // miss generates anything.
+    const std::string key = wire.scene_key();
+    const scene::SceneKey parsed = scene::parse_scene_key(key);
+    if (parsed.kind == scene::SceneKey::Kind::kSynthetic &&
+        parsed.count > config_.max_gaussian_count) {
+      throw Error("scene '" + key + "' has " + std::to_string(parsed.count) +
+                  " Gaussians, over the server's max_gaussian_count of " +
+                  std::to_string(config_.max_gaussian_count));
+    }
+    scene = service_.scene(key);
   } catch (const std::exception& e) {
-    // Scene resolution failures — an unparseable key, a missing PLY, or a
-    // scene-store admission rejection (over max_scene_bytes) — and camera
-    // contract failures are request problems, not reactor problems: refuse
-    // and keep serving.
+    // Scene resolution failures — an unparseable key, an over-cap
+    // synthetic count, a missing PLY, or a scene-store admission rejection
+    // (over max_scene_bytes) — and camera contract failures are request
+    // problems, not reactor problems: refuse and keep serving.
     refuse(e.what());
     return;
   }

@@ -39,8 +39,10 @@ struct ServerConfig {
   /// — a peer that never reads must not hang shutdown.
   int drain_timeout_ms = 5000;
   int backlog = 64;
-  /// Requests above this are refused with kServerError before any scene is
-  /// generated (a wire-reachable allocation guard).
+  /// A synthetic scene key naming more Gaussians than this, in either the
+  /// `scene` or the legacy gaussian_count spelling, is refused with
+  /// kServerError before any scene is generated (a wire-reachable
+  /// allocation guard).
   std::uint64_t max_gaussian_count = 10'000'000;
   /// Deadline budget (ms) applied to requests that carry none
   /// (wire deadline_ms == 0). 0 = no default: undeadlined requests render

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "gsmath/quat.hpp"
@@ -56,6 +57,10 @@ class GaussianScene {
   const std::vector<Quatf>& rotations() const { return rotations_; }
   const std::vector<float>& opacities() const { return opacities_; }
   const std::vector<ShCoefficients>& sh() const { return sh_; }
+
+  /// Writable SH coefficients, for producers that fill them in place after
+  /// add() (the generator draws view-dependent bands in parallel).
+  std::span<ShCoefficients> mutable_sh() { return sh_; }
 
   /// Reconstructs the AoS view of Gaussian i (IO / debugging).
   Gaussian3D gaussian(std::size_t i) const;

@@ -1,14 +1,23 @@
 #include "scene/generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel_for.hpp"
 #include "gsmath/sh.hpp"
 
 namespace gaurast::scene {
 
 namespace {
+
+/// Fewest splats per worker in the SH fill: a scene below twice this is
+/// filled on the calling thread (512 degree-3 splats are ~0.5 ms of draws).
+constexpr std::size_t kMinSplatsPerWorker = 512;
 
 /// Crude Beta(alpha, beta) sampler via Johnk's algorithm — adequate for
 /// opacity shaping, not performance critical.
@@ -45,16 +54,34 @@ Quatf random_rotation(Pcg32& rng) {
       .normalized();
 }
 
-ShCoefficients make_sh(Pcg32& rng, Vec3f base_rgb, int degree,
-                       float ac_magnitude) {
-  ShCoefficients sh{};
-  sh[0] = sh_dc_from_rgb(base_rgb);
-  for (std::size_t i = 1; i < sh_basis_count(degree); ++i) {
-    sh[i] = Vec3f{static_cast<float>(rng.normal(0.0, ac_magnitude)),
-                  static_cast<float>(rng.normal(0.0, ac_magnitude)),
-                  static_cast<float>(rng.normal(0.0, ac_magnitude))};
+/// Draws every splat's view-dependent (AC) SH bands in place, each from the
+/// generator copy kept where its block starts in the serial stream. Splats
+/// are independent then, so a large scene splits them across workers.
+void fill_sh_ac(std::span<ShCoefficients> sh, const std::vector<Pcg32>& starts,
+                int degree, float ac_magnitude) {
+  const std::size_t bands = sh_basis_count(degree);
+  if (bands == 1) return;  // degree 0: DC only
+  const auto fill = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      Pcg32 rng = starts[i];
+      for (std::size_t band = 1; band < bands; ++band) {
+        sh[i][band] = Vec3f{static_cast<float>(rng.normal(0.0, ac_magnitude)),
+                            static_cast<float>(rng.normal(0.0, ac_magnitude)),
+                            static_cast<float>(rng.normal(0.0, ac_magnitude))};
+      }
+    }
+  };
+  const std::size_t n = sh.size();
+  const std::size_t workers =
+      std::min<std::size_t>(std::max(1u, std::thread::hardware_concurrency()),
+                            n / kMinSplatsPerWorker);
+  if (workers <= 1) {
+    fill(0, n);
+    return;
   }
-  return sh;
+  common::parallel_for_workers(workers, [&](std::size_t w) {
+    fill(n * w / workers, n * (w + 1) / workers);
+  });
 }
 
 Vec3f palette_color(Pcg32& rng) {
@@ -87,17 +114,29 @@ GaussianScene generate_scene(const GeneratorParams& params) {
   const auto n_ground =
       static_cast<std::uint64_t>(params.ground_fraction * static_cast<double>(n_total));
 
+  // Central cluster: a mixture of sub-clusters for realistic clumping,
+  // each centre drawn from its own stream.
+  std::array<Vec3f, 8> centres;
+  for (std::size_t k = 0; k < centres.size(); ++k) {
+    Pcg32 cluster_rng(params.seed * 977u + k);
+    centres[k] = {
+        static_cast<float>(cluster_rng.normal(0.0, 0.5)) * params.scene_radius,
+        static_cast<float>(cluster_rng.uniform(0.0, 0.8)) * params.scene_radius,
+        static_cast<float>(cluster_rng.normal(0.0, 0.5)) * params.scene_radius};
+  }
+
+  // Each splat's AC SH block is skipped in the serial stream and drawn
+  // afterwards from a copy of the generator taken where the block starts,
+  // so the scene is bit-identical to drawing it in line.
+  const std::uint64_t ac_normals = 3 * (sh_basis_count(params.sh_degree) - 1);
+  std::vector<Pcg32> sh_starts;
+  sh_starts.reserve(n_total);
+
   for (std::uint64_t i = 0; i < n_total; ++i) {
     Gaussian3D g;
     float size_multiplier = 1.0f;
     if (i < n_object) {
-      // Central cluster: mixture of sub-clusters for realistic clumping.
-      const int cluster = static_cast<int>(rng.next_below(8));
-      Pcg32 cluster_rng(params.seed * 977u + static_cast<std::uint64_t>(cluster));
-      const Vec3f c{
-          static_cast<float>(cluster_rng.normal(0.0, 0.5)) * params.scene_radius,
-          static_cast<float>(cluster_rng.uniform(0.0, 0.8)) * params.scene_radius,
-          static_cast<float>(cluster_rng.normal(0.0, 0.5)) * params.scene_radius};
+      const Vec3f c = centres[rng.next_below(8)];
       const float spread = 0.25f * params.scene_radius;
       g.position = c + Vec3f{static_cast<float>(rng.normal(0.0, spread)),
                              static_cast<float>(rng.normal(0.0, spread * 0.7)),
@@ -132,10 +171,13 @@ GaussianScene generate_scene(const GeneratorParams& params) {
     g.opacity = static_cast<float>(
         std::clamp(sample_beta(rng, params.opacity_alpha, params.opacity_beta),
                    0.02, 0.99));
-    g.sh = make_sh(rng, palette_color(rng), params.sh_degree,
-                   params.sh_ac_magnitude);
+    g.sh[0] = sh_dc_from_rgb(palette_color(rng));
+    sh_starts.push_back(rng);
+    rng.skip_normals(ac_normals);
     out.add(g);
   }
+  fill_sh_ac(out.mutable_sh(), sh_starts, params.sh_degree,
+             params.sh_ac_magnitude);
   return out;
 }
 

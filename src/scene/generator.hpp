@@ -4,7 +4,9 @@
 // the NeRF-360 captures: a dense cluster of object Gaussians near the scene
 // center, a ground disc, and a sparse large-Gaussian background shell (the
 // structure reconstruction produces for unbounded 360-degree captures).
-// Every draw is deterministic in the seed.
+// Every draw is deterministic in the seed: the view-dependent SH bands are
+// drawn after the serial pass, across threads for large scenes, from copies
+// of the generator, and land bit-identical to an in-line draw.
 #pragma once
 
 #include <cstdint>

@@ -83,20 +83,35 @@ PlyLayout parse_ply_header(std::istream& is, const std::string& path) {
     GAURAST_CHECK_MSG(it != properties.end(), "PLY missing property " << name);
     return static_cast<std::size_t>(it - properties.begin());
   };
+  // decode_row reads f_dc, scale, rot and f_rest as runs of consecutive
+  // floats from the first name's index, so each run must be whole, in
+  // order, and inside the row.
+  auto run_start = [&](const std::string& prefix, std::size_t length) {
+    const std::size_t first = index_of(prefix + "0");
+    for (std::size_t k = 1; k < length; ++k) {
+      if (first + k >= properties.size() ||
+          properties[first + k] != prefix + std::to_string(k)) {
+        throw Error("PLY '" + path + "': properties " + prefix + "0.." +
+                    prefix + std::to_string(length - 1) +
+                    " must be consecutive and in order");
+      }
+    }
+    return first;
+  };
   PlyLayout layout;
   layout.vertex_count = vertex_count;
   layout.property_count = properties.size();
   layout.ix = index_of("x");
   layout.iy = index_of("y");
   layout.iz = index_of("z");
-  layout.idc0 = index_of("f_dc_0");
+  layout.idc0 = run_start("f_dc_", 3);
   layout.iop = index_of("opacity");
-  layout.isc0 = index_of("scale_0");
-  layout.irot0 = index_of("rot_0");
+  layout.isc0 = run_start("scale_", 3);
+  layout.irot0 = run_start("rot_", 4);
   layout.has_rest =
       std::find(properties.begin(), properties.end(), "f_rest_0") !=
       properties.end();
-  layout.irest0 = layout.has_rest ? index_of("f_rest_0") : 0;
+  layout.irest0 = layout.has_rest ? run_start("f_rest_", kRestCoeffs) : 0;
   return layout;
 }
 

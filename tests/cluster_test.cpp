@@ -421,11 +421,12 @@ class Fleet {
     servers_[i]->start();
   }
 
-  /// A seed whose scene key is owned by shard `owner` under this fleet's
-  /// HRW map.
+  /// The first seed from `first_seed` on whose scene key is owned by shard
+  /// `owner` under this fleet's HRW map.
   std::uint64_t seed_owned_by(std::size_t owner, std::uint64_t count,
-                              int width, int height) const {
-    for (std::uint64_t seed = 0;; ++seed) {
+                              int width, int height,
+                              std::uint64_t first_seed = 0) const {
+    for (std::uint64_t seed = first_seed;; ++seed) {
       net::RenderRequest req =
           net::default_render_request(count, seed, width, height);
       if (db_->hrw_order(req.scene_key())[0] == owner) return seed;
@@ -490,19 +491,33 @@ TEST(Router, FailsOverWhenShardKilledUnderLoad) {
   Fleet fleet(2, service_config, router_config);
 
   // Several client crews hammer the router with small frames across many
-  // scene keys (so both shards own some) while shard 0 is killed mid-load.
-  // Every request must get a terminal kOk answer — failover absorbs the
-  // death; nothing hangs, nothing is dropped.
+  // scene keys, alternating between keys shard 0 and shard 1 own, while
+  // shard 0 is killed mid-load. Every request must get a terminal kOk
+  // answer — failover absorbs the death; nothing hangs, nothing is dropped.
+  // Each crew sends its first half, then waits for the kill to begin and
+  // sends the rest into it, so the kill lands mid-load however fast a
+  // frame renders.
   constexpr int kThreads = 3;
   constexpr int kRequestsPerThread = 6;
+  std::atomic<int> crews_at_half{0};
+  std::atomic<bool> killing{false};
   std::vector<std::thread> crews;
   std::vector<int> ok_counts(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
-    crews.emplace_back([&fleet, &ok_counts, t] {
+    crews.emplace_back([&fleet, &ok_counts, &crews_at_half, &killing, t] {
       net::Client client("127.0.0.1", fleet.router_port());
       for (int i = 0; i < kRequestsPerThread; ++i) {
-        net::RenderRequest wire = net::default_render_request(
-            600, static_cast<std::uint64_t>(t * 100 + i), 64, 48);
+        if (i == kRequestsPerThread / 2) {
+          crews_at_half.fetch_add(1);
+          while (!killing.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }
+        const std::uint64_t seed = fleet.seed_owned_by(
+            static_cast<std::size_t>(i % 2), 600, 64, 48,
+            static_cast<std::uint64_t>(t * 100 + i * 10));
+        net::RenderRequest wire =
+            net::default_render_request(600, seed, 64, 48);
         wire.request_id = static_cast<std::uint64_t>(t * 1000 + i);
         wire.flags = net::kWantImage;
         const net::RenderResponse resp = client.render(wire);
@@ -512,7 +527,10 @@ TEST(Router, FailsOverWhenShardKilledUnderLoad) {
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  while (crews_at_half.load() < kThreads) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  killing.store(true);
   fleet.kill_shard(0);
   for (std::thread& crew : crews) crew.join();
 

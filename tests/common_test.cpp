@@ -4,16 +4,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/chart.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/half.hpp"
+#include "common/parallel_for.hpp"
 #include "common/prng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -94,6 +97,28 @@ TEST(Pcg32, ExponentialRejectsNonPositiveRate) {
   EXPECT_THROW(rng.exponential(-1.0), Error);
 }
 
+TEST(Pcg32, SkipNormalsMatchesDrawingThem) {
+  // Both Box-Muller cache states: a fresh generator has no cached variate,
+  // one normal() later it has one.
+  for (const int primed : {0, 1}) {
+    for (std::uint64_t k = 0; k <= 100; ++k) {
+      Pcg32 drawn(31 + k);
+      for (int i = 0; i < primed; ++i) (void)drawn.normal();
+      Pcg32 skipped = drawn;
+      for (std::uint64_t i = 0; i < k; ++i) (void)drawn.normal();
+      skipped.skip_normals(k);
+      Pcg32 drawn_u32 = drawn;
+      Pcg32 skipped_u32 = skipped;
+      for (int i = 0; i < 16; ++i) {
+        ASSERT_EQ(drawn.normal(), skipped.normal())
+            << "primed " << primed << ", k " << k << ", normal " << i;
+        ASSERT_EQ(drawn_u32.next_u32(), skipped_u32.next_u32())
+            << "primed " << primed << ", k " << k << ", u32 " << i;
+      }
+    }
+  }
+}
+
 TEST(SplitMix64, KnownSequenceIsStable) {
   SplitMix64 mix(0);
   const std::uint64_t a = mix.next();
@@ -105,6 +130,116 @@ TEST(SplitMix64, KnownSequenceIsStable) {
 }
 
 // ---------------------------------------------------------------- Half --
+
+// The branchy conversions common/half.hpp replaced with branch-free ones,
+// kept as the oracle of the exhaustive sweeps below.
+std::uint16_t reference_float_to_half_bits(float value) {
+  const std::uint32_t f = std::bit_cast<std::uint32_t>(value);
+  const std::uint32_t sign = (f >> 16) & 0x8000u;
+  const std::int32_t exponent =
+      static_cast<std::int32_t>((f >> 23) & 0xFFu) - 127 + 15;
+  std::uint32_t mantissa = f & 0x7FFFFFu;
+
+  if (((f >> 23) & 0xFFu) == 0xFFu) {
+    // Inf or NaN. Preserve NaN-ness by forcing a mantissa bit.
+    const std::uint16_t nan_payload =
+        mantissa != 0 ? static_cast<std::uint16_t>(0x0200u | (mantissa >> 13))
+                      : static_cast<std::uint16_t>(0);
+    return static_cast<std::uint16_t>(sign | 0x7C00u | nan_payload);
+  }
+
+  if (exponent >= 0x1F) {
+    // Overflow -> infinity.
+    return static_cast<std::uint16_t>(sign | 0x7C00u);
+  }
+
+  if (exponent <= 0) {
+    // Subnormal half or zero.
+    if (exponent < -10) return static_cast<std::uint16_t>(sign);  // underflow
+    // Add implicit bit, then shift into subnormal position.
+    mantissa |= 0x800000u;
+    const std::uint32_t shift = static_cast<std::uint32_t>(14 - exponent);
+    std::uint32_t half_mant = mantissa >> shift;
+    // Round to nearest even.
+    const std::uint32_t rem = mantissa & ((1u << shift) - 1);
+    const std::uint32_t halfway = 1u << (shift - 1);
+    if (rem > halfway || (rem == halfway && (half_mant & 1u))) ++half_mant;
+    return static_cast<std::uint16_t>(sign | half_mant);
+  }
+
+  // Normal case: round mantissa from 23 to 10 bits, to nearest even.
+  std::uint32_t half_mant = mantissa >> 13;
+  const std::uint32_t rem = mantissa & 0x1FFFu;
+  if (rem > 0x1000u || (rem == 0x1000u && (half_mant & 1u))) {
+    ++half_mant;
+    if (half_mant == 0x400u) {
+      // Mantissa overflow bumps the exponent.
+      half_mant = 0;
+      if (exponent + 1 >= 0x1F)
+        return static_cast<std::uint16_t>(sign | 0x7C00u);
+      return static_cast<std::uint16_t>(
+          sign | (static_cast<std::uint32_t>(exponent + 1) << 10));
+    }
+  }
+  return static_cast<std::uint16_t>(
+      sign | (static_cast<std::uint32_t>(exponent) << 10) | half_mant);
+}
+
+float reference_half_bits_to_float(std::uint16_t bits) {
+  const std::uint32_t sign = static_cast<std::uint32_t>(bits & 0x8000u) << 16;
+  const std::uint32_t exponent = (bits >> 10) & 0x1Fu;
+  std::uint32_t mantissa = bits & 0x3FFu;
+
+  if (exponent == 0x1Fu) {
+    // Inf / NaN.
+    return std::bit_cast<float>(sign | 0x7F800000u | (mantissa << 13));
+  }
+  if (exponent == 0) {
+    if (mantissa == 0) return std::bit_cast<float>(sign);  // signed zero
+    // Subnormal: normalize.
+    std::int32_t e = -1;
+    do {
+      ++e;
+      mantissa <<= 1;
+    } while ((mantissa & 0x400u) == 0);
+    mantissa &= 0x3FFu;
+    const std::uint32_t f_exp = static_cast<std::uint32_t>(127 - 15 - e);
+    return std::bit_cast<float>(sign | (f_exp << 23) | (mantissa << 13));
+  }
+  const std::uint32_t f_exp = exponent - 15 + 127;
+  return std::bit_cast<float>(sign | (f_exp << 23) | (mantissa << 13));
+}
+
+TEST(Half, FloatToHalfMatchesReferenceForEveryFloat) {
+  // All 2^32 bit patterns, NaN payloads included, split across the cores.
+  const std::size_t workers = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<std::uint64_t> mismatches(workers, 0);
+  std::vector<std::uint32_t> first_mismatch(workers, 0);
+  common::parallel_for_workers(workers, [&](std::size_t w) {
+    const std::uint64_t total = std::uint64_t{1} << 32;
+    const std::uint64_t end = total * (w + 1) / workers;
+    for (std::uint64_t i = total * w / workers; i < end; ++i) {
+      const float f = std::bit_cast<float>(static_cast<std::uint32_t>(i));
+      if (float_to_half_bits(f) != reference_float_to_half_bits(f) &&
+          mismatches[w]++ == 0) {
+        first_mismatch[w] = static_cast<std::uint32_t>(i);
+      }
+    }
+  });
+  for (std::size_t w = 0; w < workers; ++w) {
+    EXPECT_EQ(mismatches[w], 0u)
+        << "first mismatch at float bits 0x" << std::hex << first_mismatch[w];
+  }
+}
+
+TEST(Half, HalfToFloatMatchesReferenceForEveryHalf) {
+  for (std::uint32_t i = 0; i <= 0xFFFFu; ++i) {
+    const auto bits = static_cast<std::uint16_t>(i);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(half_bits_to_float(bits)),
+              std::bit_cast<std::uint32_t>(reference_half_bits_to_float(bits)))
+        << "half bits 0x" << std::hex << i;
+  }
+}
 
 TEST(Half, RoundTripExactForRepresentableValues) {
   for (float v : {0.0f, 1.0f, -1.0f, 0.5f, 2.0f, 1024.0f, -0.25f, 65504.0f}) {

@@ -5,6 +5,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/detailed_sim.hpp"
@@ -119,6 +122,61 @@ TEST(PlyIo, TruncatedPayloadThrows) {
   EXPECT_THROW(scene::load_ply(path), Error);
   std::remove(path.c_str());
 }
+
+/// Writes a one-vertex binary PLY whose float properties are all 1.
+void write_one_vertex_ply(const std::string& path,
+                          const std::vector<std::string>& properties) {
+  std::ofstream os(path, std::ios::binary);
+  os << "ply\nformat binary_little_endian 1.0\nelement vertex 1\n";
+  for (const std::string& name : properties) {
+    os << "property float " << name << "\n";
+  }
+  os << "end_header\n";
+  const std::vector<float> row(properties.size(), 1.0f);
+  os.write(reinterpret_cast<const char*>(row.data()),
+           static_cast<std::streamsize>(row.size() * sizeof(float)));
+}
+
+/// The loaders read the `prefix` run (`length` consecutive names) from its
+/// first name's index. Checks that both refuse the run cut short at the end
+/// of the row or out of order, and load it whole.
+void expect_run_checked(const std::string& prefix, std::size_t length) {
+  std::vector<std::string> other = {"x", "y", "z", "opacity"};
+  const std::pair<std::string, std::size_t> runs[] = {
+      {"f_dc_", 3}, {"scale_", 3}, {"rot_", 4}};
+  for (const auto& [name, n] : runs) {
+    if (name == prefix) continue;
+    for (std::size_t k = 0; k < n; ++k) {
+      other.push_back(name + std::to_string(k));
+    }
+  }
+  std::vector<std::string> whole = other;
+  for (std::size_t k = 0; k < length; ++k) {
+    whole.push_back(prefix + std::to_string(k));
+  }
+  std::vector<std::string> cut(whole.begin(), whole.end() - 1);
+  std::vector<std::string> swapped = whole;
+  std::swap(swapped[swapped.size() - 1], swapped[swapped.size() - 2]);
+
+  const std::string path = ::testing::TempDir() + "/run_" + prefix + ".ply";
+  write_one_vertex_ply(path, whole);
+  EXPECT_NO_THROW(scene::load_ply(path));
+  EXPECT_NO_THROW(scene::load_ply_quantized(path));
+  for (const auto& broken : {cut, swapped}) {
+    write_one_vertex_ply(path, broken);
+    EXPECT_THROW(scene::load_ply(path), Error);
+    EXPECT_THROW(scene::load_ply_quantized(path), Error);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PlyIo, RejectsBrokenDcRun) { expect_run_checked("f_dc_", 3); }
+
+TEST(PlyIo, RejectsBrokenScaleRun) { expect_run_checked("scale_", 3); }
+
+TEST(PlyIo, RejectsBrokenRotationRun) { expect_run_checked("rot_", 4); }
+
+TEST(PlyIo, RejectsBrokenRestRun) { expect_run_checked("f_rest_", 45); }
 
 // ---------------------------------------------------------------- SSIM --
 

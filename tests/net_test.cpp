@@ -5,8 +5,8 @@
 // render -> respond bit-identity against a direct submit), admission
 // control (a full queue yields an explicit OVERLOADED wire response), the
 // TimeoutError/ConnectionError client failure taxonomy, idle-timeout
-// closes, the HTTP stats/health endpoints, and graceful shutdown draining
-// in-flight work.
+// closes, the HTTP stats/health endpoints, graceful shutdown draining
+// in-flight work, and the Gaussian-count cap on both scene-key spellings.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -468,6 +468,43 @@ TEST(Server, MismatchedOptionsAreExplicitServerErrors) {
     const RenderResponse r3 = client.render(too_big);
     EXPECT_EQ(r3.status, RenderStatus::kServerError);
     EXPECT_NE(r3.message.find("gaussian_count"), std::string::npos);
+  });
+}
+
+/// Serves with max_gaussian_count 1000 and sends `request(count)` for a
+/// count over and at the cap: the first is refused before the store
+/// generates anything, the second renders.
+template <typename MakeRequest>
+void expect_gaussian_cap(MakeRequest&& request) {
+  runtime::ServiceConfig config;
+  config.backend = "sw";
+  ServerConfig server_config;
+  server_config.max_gaussian_count = 1000;
+  with_server(config, server_config,
+              [&](runtime::RenderService& service, Server& server) {
+    Client client("127.0.0.1", server.port());
+    const RenderResponse over = client.render(request(5000));
+    EXPECT_EQ(over.status, RenderStatus::kServerError);
+    EXPECT_NE(over.message.find("max_gaussian_count"), std::string::npos)
+        << over.message;
+    EXPECT_EQ(service.cached_scene_count(), 0u);
+
+    EXPECT_EQ(client.render(request(1000)).status, RenderStatus::kOk);
+    EXPECT_EQ(service.cached_scene_count(), 1u);
+  });
+}
+
+TEST(Server, GaussianCapAppliesToGaussianCountField) {
+  expect_gaussian_cap([](std::uint64_t count) {
+    return default_render_request(count, 7, 64, 48);
+  });
+}
+
+TEST(Server, GaussianCapAppliesToSyntheticSceneKey) {
+  expect_gaussian_cap([](std::uint64_t count) {
+    RenderRequest req = default_render_request(1, 7, 64, 48);
+    req.scene = "synthetic:" + std::to_string(count);
+    return req;
   });
 }
 

@@ -51,8 +51,8 @@ Rules (see --list-rules):
                        are outside the scanned tree).
   half-confinement     The raw fp16 bit conversions (float_to_half_bits,
                        half_bits_to_float) are confined within src/ to
-                       src/common/half.hpp, src/common/half.cpp, and
-                       src/scene/quantized.cpp (the one production
+                       src/common/half.hpp (which defines them inline)
+                       and src/scene/quantized.cpp (the one production
                        consumer that stores raw bit patterns). Everything
                        else uses common::Half / common::round_to_half, so
                        rounding mode and NaN/Inf handling stay in one
@@ -99,7 +99,6 @@ FAULT_POINTS_EXEMPT_FILES = ("src/common/fault.cpp",)
 # NaN/Inf policy stay in one reviewed place.
 HALF_CONFINEMENT_EXEMPT_FILES = (
     "src/common/half.hpp",
-    "src/common/half.cpp",
     "src/scene/quantized.cpp",
 )
 
@@ -456,7 +455,7 @@ def check_half_confinement(
                 line_of(src.scrubbed, m.start()),
                 "half-confinement",
                 f"raw fp16 bit conversion {m.group(1)}() outside "
-                "src/common/half.{hpp,cpp} and src/scene/quantized.cpp; "
+                "src/common/half.hpp and src/scene/quantized.cpp; "
                 "use common::Half / common::round_to_half so rounding and "
                 "NaN/Inf policy stay in the half module",
             )
