@@ -103,6 +103,12 @@ using namespace gaurast;
 using Clock = std::chrono::steady_clock;
 
 constexpr int kShards = 2;
+/// Servers listen on fixed ports, kShards to a block, trying up to
+/// kPortAttempts blocks: HostDb ranks shards by host:port, so fixed ports
+/// give every pass the same scene-to-shard split. The base sits below the
+/// Linux ephemeral range (32768+) and clear of perfbench's 24610 block.
+constexpr int kPortBase = 23610;
+constexpr int kPortAttempts = 16;
 constexpr std::uint32_t kDeadlineMs = 250;
 /// Router-internal points only: a plan that hit net.client.* would make
 /// the bench's own lanes misbehave. Seeded, so injections reproduce.
@@ -160,6 +166,30 @@ double ms_since(Clock::time_point start) {
 
 double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
+/// Starts one net::Server per service on the first free port block and
+/// returns their ids.
+std::vector<cluster::ShardId> start_servers(
+    const std::vector<std::unique_ptr<runtime::RenderService>>& services,
+    std::vector<std::unique_ptr<net::Server>>& servers) {
+  for (int attempt = 0; attempt < kPortAttempts; ++attempt) {
+    std::vector<cluster::ShardId> ids;
+    try {
+      for (std::size_t s = 0; s < services.size(); ++s) {
+        net::ServerConfig config;
+        config.port = kPortBase + kShards * attempt + static_cast<int>(s);
+        servers.push_back(std::make_unique<net::Server>(*services[s], config));
+        servers.back()->start();
+        ids.push_back(cluster::ShardId{"127.0.0.1", config.port});
+      }
+      return ids;
+    } catch (const Error&) {
+      for (auto& server : servers) server->stop();
+      servers.clear();
+    }
+  }
+  throw Error("no free port block for the bench servers");
+}
+
 struct Harness {
   std::string backend;
   pipeline::RasterKernel kernel = pipeline::RasterKernel::kReference;
@@ -195,7 +225,6 @@ struct Harness {
         [this](const std::string& key) { return scenes.at(key); });
     std::vector<std::unique_ptr<runtime::RenderService>> services;
     std::vector<std::unique_ptr<net::Server>> servers;
-    std::vector<cluster::ShardId> ids;
     for (int s = 0; s < (fleet ? kShards : 1); ++s) {
       runtime::ServiceConfig config;
       config.workers = side.workers;
@@ -205,11 +234,10 @@ struct Harness {
       config.scene_budget_bytes = side.scene_budget_bytes;
       services.push_back(std::make_unique<runtime::RenderService>(config));
       for (const auto& entry : scenes) services.back()->scene(entry.first);
-      if (side.topology == Topology::kInproc) continue;
-      servers.push_back(std::make_unique<net::Server>(*services.back(),
-                                                      net::ServerConfig{}));
-      servers.back()->start();
-      ids.push_back(cluster::ShardId{"127.0.0.1", servers.back()->port()});
+    }
+    std::vector<cluster::ShardId> ids;
+    if (side.topology != Topology::kInproc) {
+      ids = start_servers(services, servers);
     }
     std::optional<cluster::HostDb> db;
     if (!ids.empty()) db.emplace(ids);
@@ -239,11 +267,11 @@ struct Harness {
       const auto answer = [&](const net::RenderRequest& req) {
         if (side.topology == Topology::kInproc) {
           runtime::RenderService& service = *services.front();
-          service.submit({service.scene(req.scene_key()), req.camera()}).get();
+          service.submit({service.scene(req.scene), req.camera()}).get();
           return net::RenderStatus::kOk;
         }
         const std::size_t slot =
-            router ? 0 : db->hrw_order(req.scene_key()).front();
+            router ? 0 : db->hrw_order(req.scene).front();
         if (!conns[slot]) {
           conns[slot] = std::make_unique<net::Client>(
               "127.0.0.1", router ? router->port() : ids[slot].port);

@@ -94,8 +94,7 @@ std::string merge_fleet_stats(const std::vector<ShardStatsEntry>& shards,
     os << (i ? "," : "") << "{\"host\":\"" << entry.shard.id.host
        << "\",\"port\":" << entry.shard.id.port << ",\"state\":\""
        << to_string(entry.shard.state)
-       << "\",\"breaker_open\":" << (entry.shard.breaker_open ? "true" : "false")
-       << ",\"breaker_trips\":" << entry.shard.breaker_trips << ",\"stats\":";
+       << "\",\"deaths\":" << entry.shard.deaths << ",\"stats\":";
     if (entry.stats_json) {
       os << *entry.stats_json;
     } else {

@@ -1,10 +1,10 @@
 // cluster fleet stats — merging per-shard `gaurast-serve-stats/v3` reports
-// into one `gaurast-fleet-stats/v1` document, the stats encoding the router
+// into one `gaurast-fleet-stats/v2` document, the stats encoding the router
 // serves on both the wire (kStatsResponse) and HTTP (/stats).
 //
 // Layout:
 //
-//   {"schema":"gaurast-fleet-stats/v1",
+//   {"schema":"gaurast-fleet-stats/v2",
 //    "shards_total":N,"shards_alive":A,
 //    "fleet":{submitted, completed, rejected, scene_cache_hits,
 //             scene_cache_misses, scene_evictions, scene_rejected,
@@ -15,8 +15,11 @@
 //              latency_* (router-observed, ms),
 //              route_overhead_* (router latency minus the shard-reported
 //              per-request latency_ms, ms)},
-//    "shards":[{"host","port","state","breaker_open","breaker_trips",
+//    "shards":[{"host","port","state","deaths" (transitions into dead),
 //               "stats":<shard JSON or null>}, ...]}
+//
+// v2 replaced each shard's circuit-breaker pair (open flag, trip count)
+// with "deaths": the breaker folded into the dead state.
 //
 // Latency is deliberately reported per shard (each entry embeds the
 // shard's own gaurast-serve-stats snapshot verbatim) rather than
@@ -36,7 +39,7 @@
 namespace gaurast::cluster {
 
 /// Schema tag of the merged fleet report.
-inline constexpr const char* kFleetStatsSchema = "gaurast-fleet-stats/v1";
+inline constexpr const char* kFleetStatsSchema = "gaurast-fleet-stats/v2";
 
 /// One shard's contribution: its registry snapshot plus the serve-stats
 /// JSON fetched from it (nullopt when the shard was dead or the fetch
@@ -75,7 +78,7 @@ struct RouterStatsSnapshot {
 std::optional<double> extract_json_number(const std::string& json,
                                           const std::string& key);
 
-/// Builds the merged gaurast-fleet-stats/v1 document.
+/// Builds the merged gaurast-fleet-stats/v2 document.
 std::string merge_fleet_stats(const std::vector<ShardStatsEntry>& shards,
                               const RouterStatsSnapshot& router);
 

@@ -66,8 +66,7 @@ HostDb::HostDb(std::vector<ShardId> shards, HostDbConfig config)
     : shards_(std::move(shards)), config_(config) {
   GAURAST_CHECK_MSG(!shards_.empty(), "a fleet needs at least one shard");
   GAURAST_CHECK(config_.dead_after_failures >= 1);
-  GAURAST_CHECK(config_.breaker_trip_failures >= 0);
-  GAURAST_CHECK(config_.breaker_open_ms >= 0);
+  GAURAST_CHECK(config_.readmit_after_ms >= 0);
   common::MutexLock lock(mutex_);
   health_.resize(shards_.size());
 }
@@ -77,11 +76,6 @@ ShardState HostDb::state(std::size_t index) const {
   return health_[index].state;
 }
 
-bool HostDb::breaker_open(std::size_t index) const {
-  common::MutexLock lock(mutex_);
-  return health_[index].breaker_open;
-}
-
 std::vector<ShardSnapshot> HostDb::snapshot() const {
   common::MutexLock lock(mutex_);
   std::vector<ShardSnapshot> out;
@@ -89,8 +83,7 @@ std::vector<ShardSnapshot> HostDb::snapshot() const {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Health& h = health_[i];
     out.push_back(ShardSnapshot{shards_[i], h.state, h.successes, h.failures,
-                                h.consecutive_failures, h.breaker_open,
-                                h.breaker_trips});
+                                h.consecutive_failures, h.deaths});
   }
   return out;
 }
@@ -108,17 +101,15 @@ void HostDb::report_success(std::size_t index) {
   common::MutexLock lock(mutex_);
   Health& h = health_[index];
   ++h.successes;
+  // A success inside the cooldown is ignored: a flapping shard sits out the
+  // full window. The first one after it re-admits the shard.
+  if (h.state == ShardState::kDead &&
+      Clock::now() <
+          h.died_at + std::chrono::milliseconds(config_.readmit_after_ms)) {
+    return;
+  }
   h.consecutive_failures = 0;
   h.state = ShardState::kAlive;
-  // Half-open recovery: a success inside the cooldown is ignored by the
-  // breaker (a flapping shard must sit out the full window); the first one
-  // after it closes the breaker and re-admits the shard.
-  if (h.breaker_open &&
-      Clock::now() >=
-          h.breaker_opened_at +
-              std::chrono::milliseconds(config_.breaker_open_ms)) {
-    h.breaker_open = false;
-  }
 }
 
 void HostDb::report_failure(std::size_t index) {
@@ -126,18 +117,17 @@ void HostDb::report_failure(std::size_t index) {
   Health& h = health_[index];
   ++h.failures;
   ++h.consecutive_failures;
-  h.state = h.consecutive_failures >= config_.dead_after_failures
-                ? ShardState::kDead
-                : ShardState::kSuspect;
-  // The trip timestamp is NOT refreshed by further failures: the cooldown
-  // measures from the trip, so a shard that keeps failing while open can
+  // Failures of a dead shard do not re-stamp died_at: the cooldown
+  // measures from the death, so a shard that keeps failing while dead can
   // still recover on the first post-cooldown success.
-  if (config_.breaker_trip_failures > 0 && !h.breaker_open &&
-      h.consecutive_failures >= config_.breaker_trip_failures) {
-    h.breaker_open = true;
-    h.breaker_opened_at = Clock::now();
-    ++h.breaker_trips;
+  if (h.state == ShardState::kDead) return;
+  if (h.consecutive_failures < config_.dead_after_failures) {
+    h.state = ShardState::kSuspect;
+    return;
   }
+  h.state = ShardState::kDead;
+  h.died_at = Clock::now();
+  ++h.deaths;
 }
 
 std::vector<std::size_t> HostDb::hrw_order(
@@ -170,7 +160,6 @@ std::optional<std::size_t> HostDb::route(
   for (const std::size_t index : order) {
     if (exclude.count(index)) continue;
     if (health_[index].state == ShardState::kDead) continue;
-    if (health_[index].breaker_open) continue;
     return index;
   }
   return std::nullopt;

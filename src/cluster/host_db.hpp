@@ -9,16 +9,14 @@
 // pair. One failure demotes alive -> suspect (still routable — a single
 // timeout must not remap every scene the shard owns); consecutive failures
 // reaching HostDbConfig::dead_after_failures demote to dead, which removes
-// the shard from routing until any success resurrects it.
+// the shard from routing.
 //
-// Circuit breaker (opt-in): with breaker_trip_failures > 0, a shard whose
-// consecutive failures reach that threshold trips a per-shard breaker OPEN
-// — excluded from routing even after a success resurrects its health
-// state. The breaker closes on the first success reported after
-// breaker_open_ms of cooldown (probe-driven half-open recovery: the
-// prober keeps probing, and its first post-cooldown success re-admits the
-// shard); successes during the cooldown are ignored by the breaker, so a
-// flapping shard cannot thrash the routing map once per flap.
+// Re-admission: a dead shard comes back on the first success reported at
+// least HostDbConfig::readmit_after_ms after it died (the prober keeps
+// probing, so its first post-cooldown success re-admits the shard).
+// Successes inside the cooldown are ignored, so a flapping shard cannot
+// thrash the routing map once per flap, and failures inside it do not
+// restart it. The default cooldown of 0 re-admits on the first success.
 //
 // Routing: hrw_order() ranks ALL shards for a scene key by rendezvous
 // weight — a pure function of (scene key, shard label), independent of
@@ -67,15 +65,11 @@ struct HostDbConfig {
   /// Consecutive failures at which a shard is declared dead. The first
   /// failure always demotes to suspect.
   int dead_after_failures = 2;
-  /// Consecutive failures at which the per-shard circuit breaker trips
-  /// open (excluded from routing until a post-cooldown success). 0
-  /// disables the breaker — the default, because an open breaker delays
-  /// re-admission of a recovered shard by up to breaker_open_ms.
-  int breaker_trip_failures = 0;
-  /// Breaker cooldown: successes earlier than this after the trip are
-  /// ignored by the breaker; the first success after it closes the
-  /// breaker.
-  int breaker_open_ms = 2000;
+  /// Cooldown after a death: successes earlier than this are ignored, and
+  /// the first one after it re-admits the shard. 0 (the default)
+  /// re-admits on the first success, because a longer cooldown delays a
+  /// recovered shard by up to this long.
+  int readmit_after_ms = 0;
 };
 
 struct ShardSnapshot {
@@ -84,8 +78,7 @@ struct ShardSnapshot {
   std::uint64_t successes = 0;
   std::uint64_t failures = 0;
   int consecutive_failures = 0;
-  bool breaker_open = false;
-  std::uint64_t breaker_trips = 0;
+  std::uint64_t deaths = 0;  ///< transitions into dead
 };
 
 class HostDb {
@@ -99,9 +92,6 @@ class HostDb {
   const ShardId& shard(std::size_t index) const { return shards_[index]; }
 
   ShardState state(std::size_t index) const GAURAST_EXCLUDES(mutex_);
-  /// True while the shard's circuit breaker is open (always false when the
-  /// breaker is disabled).
-  bool breaker_open(std::size_t index) const GAURAST_EXCLUDES(mutex_);
   std::vector<ShardSnapshot> snapshot() const GAURAST_EXCLUDES(mutex_);
   /// Shards currently routable (not dead).
   std::size_t alive_count() const GAURAST_EXCLUDES(mutex_);
@@ -116,7 +106,7 @@ class HostDb {
   std::vector<std::size_t> hrw_order(const std::string& scene_key) const;
 
   /// The shard that should serve `scene_key` right now: the first
-  /// routable (non-dead, breaker closed) shard in hrw_order not listed in
+  /// routable (non-dead) shard in hrw_order not listed in
   /// `exclude` (the failover walk passes the shards it already tried).
   /// nullopt when the whole fleet is down.
   std::optional<std::size_t> route(const std::string& scene_key,
@@ -131,9 +121,8 @@ class HostDb {
     int consecutive_failures = 0;
     std::uint64_t successes = 0;
     std::uint64_t failures = 0;
-    bool breaker_open = false;
-    Clock::time_point breaker_opened_at{};  ///< valid while breaker_open
-    std::uint64_t breaker_trips = 0;
+    Clock::time_point died_at{};  ///< valid while dead
+    std::uint64_t deaths = 0;
   };
 
   const std::vector<ShardId> shards_;

@@ -192,9 +192,9 @@ void Router::route(Job job) {
     finish_deadline_exceeded(std::move(job), true);
     return;
   }
-  const std::string scene_key = job.wire.scene_key();
   const bool job_was_failover = !job.tried.empty();
-  const std::optional<std::size_t> target = db_.route(scene_key, job.tried);
+  const std::optional<std::size_t> target =
+      db_.route(job.wire.scene, job.tried);
   if (!target) {
     finish_unavailable(std::move(job));
     return;
@@ -247,7 +247,7 @@ void Router::finish_unavailable(Job job) {
                 net::RenderStatus::kFleetUnavailable,
                 "fleet unavailable: no routable shard (of " +
                     std::to_string(db_.size()) + ") for scene '" +
-                    job.wire.scene_key() + "'",
+                    job.wire.scene + "'",
                 true);
 }
 
@@ -409,7 +409,7 @@ std::optional<FailureKind> Router::forward(
     if (peek.retry) {
       std::set<std::size_t> tried = job.tried;
       tried.insert(shard.index);
-      if (db_.route(job.wire.scene_key(), tried)) {
+      if (db_.route(job.wire.scene, tried)) {
         return FailureKind::kOverloaded;
       }
     }

@@ -29,7 +29,7 @@
 // same report_success/report_failure inputs as the forwarders.
 //
 // Stats: kStatsRequest frames and GET /stats answer with the merged
-// gaurast-fleet-stats/v1 document (per-shard serve stats + router
+// gaurast-fleet-stats/v2 document (per-shard serve stats + router
 // counters); GET /healthz answers a cheap local health summary without
 // touching the shards.
 //
@@ -108,7 +108,7 @@ class Router : private net::FrameHandler {
   int port() const { return front_.port(); }
   const RouterConfig& config() const { return config_; }
 
-  /// Assembles the merged gaurast-fleet-stats/v1 document now: polls every
+  /// Assembles the merged gaurast-fleet-stats/v2 document now: polls every
   /// non-dead shard (bounded by stats_timeout_ms each) and merges with the
   /// router's counters. Blocking — call from any thread except the loop
   /// thread (the stats worker and the CLI both use it).

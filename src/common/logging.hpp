@@ -1,7 +1,8 @@
-// Minimal leveled logger for simulators and harnesses.
+// Minimal leveled logger.  // lint-invariants: allow(orphan-header)
 //
 // Benchmark binaries print their results through common/table.hpp; the logger
 // is for progress/diagnostic chatter and is silenced below the global level.
+// No program calls it yet: it stays for the serving path's request logging.
 #pragma once
 
 #include <iostream>

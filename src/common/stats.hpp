@@ -1,66 +1,13 @@
-// Streaming summary statistics, histograms, and latency percentiles.
+// Latency percentiles and the bounded sample window behind them.
 //
-// Used by the simulators (per-tile occupancy, queue depths, per-pixel blend
-// depth), the workload calibration machinery, and every serving-side
-// latency figure (render service, fleet router, service bench).
+// Used by every serving-side latency figure (render service, fleet router,
+// service bench) and the frame scheduler's p99 interval.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace gaurast {
-
-/// Welford streaming accumulator: count, mean, variance, min, max.
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;  ///< population variance
-  double stddev() const;
-  double min() const;
-  double max() const;
-  double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-/// Fixed-bin linear histogram over [lo, hi); out-of-range samples clamp into
-/// the first/last bin so totals are conserved.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-
-  std::uint64_t total() const { return total_; }
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
-  /// Value below which `q` (0..1) of the mass lies (linear within a bin).
-  double quantile(double q) const;
-
-  /// Compact one-line render for logs: "h[0,10)x8: 3 1 0 ...".
-  std::string to_string() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 /// Exact nearest-rank percentile (q in [0, 1]) of an ascending-sorted
 /// sample: the smallest sample with at least a q share of the set at or

@@ -5,19 +5,25 @@
 namespace gaurast::core {
 
 void RasterizerConfig::validate() const {
-  GAURAST_CHECK(pes_per_module > 0 && pes_per_module <= 1024);
-  GAURAST_CHECK(module_count > 0 && module_count <= 256);
-  GAURAST_CHECK(clock_ghz > 0.0 && clock_ghz <= 4.0);
-  GAURAST_CHECK(tile_size > 0 && tile_size <= 64);
-  GAURAST_CHECK(tile_buffer_bytes >= 1024);
-  GAURAST_CHECK(mem_bytes_per_cycle > 0.0);
-  GAURAST_CHECK(pipeline_depth >= 1);
+  // Configs come from files and sweeps, so a bad one is an input error
+  // that names the field, not an internal invariant.
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw Error(what);
+  };
+  require(pes_per_module > 0 && pes_per_module <= 1024,
+          "pes_per_module must be in [1, 1024]");
+  require(module_count > 0 && module_count <= 256,
+          "module_count must be in [1, 256]");
+  require(clock_ghz > 0.0 && clock_ghz <= 4.0, "clock_ghz must be in (0, 4]");
+  require(tile_size > 0 && tile_size <= 64, "tile_size must be in [1, 64]");
+  require(tile_buffer_bytes >= 1024, "tile_buffer_bytes must be >= 1024");
+  require(mem_bytes_per_cycle > 0.0, "mem_bytes_per_cycle must be > 0");
+  require(pipeline_depth >= 1, "pipeline_depth must be >= 1");
   // The tile buffer must at least hold the pixel state plus one primitive.
   const std::size_t pixel_bytes =
       static_cast<std::size_t>(pixels_per_tile()) * pixel_state_bytes(precision);
-  GAURAST_CHECK_MSG(tile_buffer_bytes >
-                        pixel_bytes + gaussian_primitive_bytes(precision),
-                    "tile buffer too small for pixel state");
+  require(tile_buffer_bytes > pixel_bytes + gaussian_primitive_bytes(precision),
+          "tile_buffer_bytes too small for one tile's pixel state");
 }
 
 RasterizerConfig RasterizerConfig::prototype16() {

@@ -53,7 +53,7 @@ struct RasterizerConfig {
 
   int pixels_per_tile() const { return tile_size * tile_size; }
 
-  /// Validates invariants; throws gaurast::Error on nonsense.
+  /// Throws gaurast::Error naming the first out-of-range field.
   void validate() const;
 
   /// The synthesized 16-PE prototype (28 nm, 1 GHz, FP32).

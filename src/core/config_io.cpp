@@ -14,8 +14,7 @@ std::string precision_to_string(Precision precision) {
 Precision precision_from_string(const std::string& text) {
   if (text == "fp32") return Precision::kFp32;
   if (text == "fp16") return Precision::kFp16;
-  GAURAST_CHECK_MSG(false, "unknown precision '" << text << "'");
-  return Precision::kFp32;
+  throw Error("unknown precision '" + text + "' (expected fp32 or fp16)");
 }
 
 void save_config(const RasterizerConfig& config, const std::string& path) {
@@ -34,50 +33,69 @@ void save_config(const RasterizerConfig& config, const std::string& path) {
   GAURAST_CHECK_MSG(os.good(), "write failure on " << path);
 }
 
+namespace {
+
+/// Applies one `key = value` line (comments and blank lines are no-ops);
+/// throws gaurast::Error naming what is wrong with it.
+void apply_line(RasterizerConfig& config, std::string line) {
+  // Strip comments and whitespace-only lines.
+  const auto hash = line.find('#');
+  if (hash != std::string::npos) line = line.substr(0, hash);
+  if (line.find_first_not_of(" \t\r") == std::string::npos) return;
+  const auto eq = line.find('=');
+  if (eq == std::string::npos) throw Error("expected key = value");
+  auto trim = [](std::string s) {
+    const auto b = s.find_first_not_of(" \t\r");
+    const auto e = s.find_last_not_of(" \t\r");
+    return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
+  };
+  const std::string key = trim(line.substr(0, eq));
+  const std::string value = trim(line.substr(eq + 1));
+  if (key.empty() || value.empty()) throw Error("empty key or value");
+
+  std::istringstream vs(value);
+  auto parse = [&](auto& out) {
+    vs >> out;
+    if (vs.fail()) throw Error("bad value '" + value + "'");
+  };
+  if (key == "pes_per_module") parse(config.pes_per_module);
+  else if (key == "module_count") parse(config.module_count);
+  else if (key == "clock_ghz") parse(config.clock_ghz);
+  else if (key == "precision") config.precision = precision_from_string(value);
+  else if (key == "tile_size") parse(config.tile_size);
+  else if (key == "tile_buffer_bytes") parse(config.tile_buffer_bytes);
+  else if (key == "mem_bytes_per_cycle") parse(config.mem_bytes_per_cycle);
+  else if (key == "mem_latency") parse(config.mem_latency);
+  else if (key == "pipeline_depth") parse(config.pipeline_depth);
+  else throw Error("unknown key '" + key + "'");
+}
+
+}  // namespace
+
 RasterizerConfig load_config(const std::string& path) {
+  // A bad file is a user error, not a broken invariant: every error names
+  // the file, and the line when there is one.
+  const auto bad = [&path](const std::string& where, const char* what) {
+    return Error("config '" + path + "'" + where + ": " + what);
+  };
   std::ifstream is(path);
-  GAURAST_CHECK_MSG(is.is_open(), "cannot open " << path);
+  if (!is.is_open()) throw bad("", "cannot open");
   RasterizerConfig config = RasterizerConfig::prototype16();
   std::string line;
   int line_no = 0;
   while (std::getline(is, line)) {
     ++line_no;
-    // Strip comments and whitespace-only lines.
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    const auto eq = line.find('=');
-    GAURAST_CHECK_MSG(eq != std::string::npos,
-                      path << ":" << line_no << ": expected key = value");
-    auto trim = [](std::string s) {
-      const auto b = s.find_first_not_of(" \t\r");
-      const auto e = s.find_last_not_of(" \t\r");
-      return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
-    };
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    GAURAST_CHECK_MSG(!key.empty() && !value.empty(),
-                      path << ":" << line_no << ": empty key or value");
-
-    std::istringstream vs(value);
-    auto parse = [&](auto& out) {
-      vs >> out;
-      GAURAST_CHECK_MSG(!vs.fail(), path << ":" << line_no
-                                         << ": bad value '" << value << "'");
-    };
-    if (key == "pes_per_module") parse(config.pes_per_module);
-    else if (key == "module_count") parse(config.module_count);
-    else if (key == "clock_ghz") parse(config.clock_ghz);
-    else if (key == "precision") config.precision = precision_from_string(value);
-    else if (key == "tile_size") parse(config.tile_size);
-    else if (key == "tile_buffer_bytes") parse(config.tile_buffer_bytes);
-    else if (key == "mem_bytes_per_cycle") parse(config.mem_bytes_per_cycle);
-    else if (key == "mem_latency") parse(config.mem_latency);
-    else if (key == "pipeline_depth") parse(config.pipeline_depth);
-    else GAURAST_CHECK_MSG(false, path << ":" << line_no << ": unknown key '"
-                                       << key << "'");
+    try {
+      apply_line(config, line);
+    } catch (const Error& e) {
+      throw bad(" line " + std::to_string(line_no), e.what());
+    }
   }
-  config.validate();
+  try {
+    config.validate();
+  } catch (const Error& e) {
+    throw bad("", e.what());
+  }
   return config;
 }
 

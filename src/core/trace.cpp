@@ -26,22 +26,30 @@ void save_trace(const std::vector<TileLoad>& tiles, const std::string& path) {
 }
 
 std::vector<TileLoad> load_trace(const std::string& path) {
+  // A bad file is a user error, not a broken invariant: name the file.
+  const auto bad = [&path](const std::string& what) {
+    return Error("trace '" + path + "': " + what);
+  };
   std::ifstream is(path, std::ios::binary);
-  GAURAST_CHECK_MSG(is.is_open(), "cannot open " << path);
+  if (!is.is_open()) throw bad("cannot open");
   char magic[4];
   is.read(magic, 4);
-  GAURAST_CHECK_MSG(is.good() && std::equal(magic, magic + 4, kMagic),
-                    "bad trace magic in " << path);
+  if (!is.good() || !std::equal(magic, magic + 4, kMagic)) {
+    throw bad("bad magic (not a GTR1 tile trace)");
+  }
   std::uint64_t count = 0;
   is.read(reinterpret_cast<char*>(&count), sizeof(count));
-  GAURAST_CHECK_MSG(is.good(), "truncated trace header");
+  if (!is.good()) throw bad("truncated header");
+  // No reserve(count): the count is untrusted until its tiles are read.
   std::vector<TileLoad> tiles;
-  tiles.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     TileLoad t;
     is.read(reinterpret_cast<char*>(&t.pairs), sizeof(t.pairs));
     is.read(reinterpret_cast<char*>(&t.fill_bytes), sizeof(t.fill_bytes));
-    GAURAST_CHECK_MSG(is.good(), "truncated trace at tile " << i);
+    if (!is.good()) {
+      throw bad("truncated at tile " + std::to_string(i) + " of " +
+                std::to_string(count));
+    }
     tiles.push_back(t);
   }
   return tiles;

@@ -174,17 +174,11 @@ const char* to_string(RenderStatus status) {
   return "?";
 }
 
-std::string RenderRequest::scene_key() const {
-  if (!scene.empty()) return scene;
-  return scene::synthetic_scene_key(gaussian_count, scene_seed);
-}
-
 RenderRequest default_render_request(std::uint64_t gaussian_count,
                                      std::uint64_t scene_seed, int width,
                                      int height) {
   RenderRequest req;
-  req.gaussian_count = gaussian_count;
-  req.scene_seed = scene_seed;
+  req.scene = scene::synthetic_scene_key(gaussian_count, scene_seed);
   req.width = width;
   req.height = height;
   // Mirrors scene::default_camera over default GeneratorParams; the
@@ -246,8 +240,6 @@ FrameHeader decode_header(const std::uint8_t* data) {
 std::vector<std::uint8_t> serialize(const RenderRequest& msg) {
   std::vector<std::uint8_t> payload;
   put_u64(payload, msg.request_id);
-  put_u64(payload, msg.gaussian_count);
-  put_u64(payload, msg.scene_seed);
   put_u32(payload, static_cast<std::uint32_t>(msg.width));
   put_u32(payload, static_cast<std::uint32_t>(msg.height));
   put_f32(payload, msg.fov_y);
@@ -267,8 +259,6 @@ RenderRequest deserialize_render_request(const std::uint8_t* data,
   Reader r(data, size, "render-request");
   RenderRequest msg;
   msg.request_id = r.u64();
-  msg.gaussian_count = r.u64();
-  msg.scene_seed = r.u64();
   msg.width = static_cast<std::int32_t>(r.u32());
   msg.height = static_cast<std::int32_t>(r.u32());
   msg.fov_y = r.f32();
@@ -284,10 +274,8 @@ RenderRequest deserialize_render_request(const std::uint8_t* data,
   if (msg.width <= 0 || msg.height <= 0) {
     throw ProtocolError("render-request image dimensions must be positive");
   }
-  // An explicit scene key carries the scene identity itself;
-  // gaussian_count is only load-bearing for the derived count/seed key.
-  if (msg.scene.empty() && msg.gaussian_count == 0) {
-    throw ProtocolError("render-request gaussian_count must be positive");
+  if (msg.scene.empty()) {
+    throw ProtocolError("render-request scene key must not be empty");
   }
   return msg;
 }

@@ -27,17 +27,16 @@
 // Payload encodings (strings are u32 length + raw bytes; floats are IEEE
 // 754 little-endian, so image payloads round-trip bit-identically):
 //
-//   kRenderRequest   request_id u64, gaussian_count u64, scene_seed u64,
-//                    width u32, height u32, fov_y f32, eye f32[3],
-//                    target f32[3], up f32[3], flags u32 (bit 0 =
-//                    kWantImage), backend string, kernel string,
+//   kRenderRequest   request_id u64, width u32, height u32, fov_y f32,
+//                    eye f32[3], target f32[3], up f32[3], flags u32
+//                    (bit 0 = kWantImage), backend string, kernel string,
 //                    deadline_ms u32 (0 = no deadline), scene string — a
 //                    canonical scene key ("synthetic:<count>[@<seed>]" or
-//                    "ply:<path-or-name>", see scene/store.hpp). Empty
-//                    scene means the key is derived from
-//                    gaussian_count/scene_seed; when scene is set,
-//                    gaussian_count/scene_seed are advisory and may be
-//                    zero.
+//                    "ply:<path-or-name>", see scene/store.hpp). scene is
+//                    required: an empty one is a protocol error. A request
+//                    whose image (12 bytes a pixel + 1024) would not fit
+//                    kMaxPayloadBytes gets a kServerError response, whether
+//                    or not it sets kWantImage.
 //                    Empty backend/kernel mean "whatever the server is
 //                    configured with"; a non-empty value that differs from
 //                    the serving configuration yields a kServerError
@@ -88,8 +87,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x52554147u;
 /// History: v1 was the initial protocol. v2 appended deadline_ms to
 /// RenderRequest and added kDeadlineExceeded. v3 appended the canonical
 /// scene-key string (empty = derive from gaussian_count/seed) and moved the
-/// stats schema to gaurast-serve-stats/v2. No peer speaks v1 or v2 any more.
-inline constexpr std::uint8_t kProtocolVersion = 3;
+/// stats schema to gaurast-serve-stats/v2. v4 deletes gaussian_count and
+/// scene_seed from RenderRequest and makes the scene key required, so a
+/// request names its scene one way. No peer speaks v1-v3 any more.
+inline constexpr std::uint8_t kProtocolVersion = 4;
 
 /// Fixed frame-header size in bytes (magic + version + type + reserved +
 /// payload_size).
@@ -152,15 +153,12 @@ class ProtocolError : public Error {
 };
 
 /// One frame request as it travels the wire. The scene is named by a
-/// canonical scene-store key or its synthetic generator spec (count +
-/// seed, when the key is empty) — either way the same key space the
-/// RenderService scene store uses — and the camera by its constructor
-/// inputs, so the server can rebuild an identical scene::Camera and the
-/// rendered image is bit-identical to an in-process submission.
+/// canonical scene-store key — the key space the RenderService scene store
+/// uses — and the camera by its constructor inputs, so the server can
+/// rebuild an identical scene::Camera and the rendered image is
+/// bit-identical to an in-process submission.
 struct RenderRequest {
   std::uint64_t request_id = 0;  ///< client token, echoed in the response
-  std::uint64_t gaussian_count = 0;
-  std::uint64_t scene_seed = 0;
   std::int32_t width = 0;
   std::int32_t height = 0;
   float fov_y = 0.9f;
@@ -173,14 +171,10 @@ struct RenderRequest {
   /// Remaining latency budget in milliseconds, counted from the moment the
   /// receiver reads the frame; 0 = no deadline.
   std::uint32_t deadline_ms = 0;
-  /// Canonical scene key ("synthetic:<n>[@<seed>]" / "ply:<name>"); empty =
-  /// derive from gaussian_count/scene_seed.
+  /// Canonical scene key ("synthetic:<n>[@<seed>]" / "ply:<name>");
+  /// required.
   std::string scene;
 
-  /// The scene-store key this request resolves to: `scene` when set, else
-  /// scene::synthetic_scene_key(gaussian_count, scene_seed) — the same keys
-  /// the workload generator emits.
-  std::string scene_key() const;
   /// Rebuilds the camera from the serialized constructor inputs.
   scene::Camera camera() const;
 };
@@ -204,10 +198,12 @@ struct StatsResponse {
   std::string json;  ///< schema-stamped ServiceStats snapshot
 };
 
-/// A render request whose camera reproduces scene::default_camera (default
-/// GeneratorParams) for the given dimensions — the same view
-/// `gaurast_cli render` uses, so a wire render is bit-comparable with a
-/// local one. Flags start at 0; set kWantImage to get pixels back.
+/// A render request for scene::synthetic_scene_key(gaussian_count,
+/// scene_seed) — the same keys the workload generator emits — whose camera
+/// reproduces scene::default_camera (default GeneratorParams) for the given
+/// dimensions: the same view `gaurast_cli render` uses, so a wire render is
+/// bit-comparable with a local one. Flags start at 0; set kWantImage to get
+/// pixels back.
 RenderRequest default_render_request(std::uint64_t gaussian_count,
                                      std::uint64_t scene_seed, int width,
                                      int height);

@@ -116,32 +116,35 @@ void Server::handle_render(std::uint64_t conn_id, RenderRequest wire) {
            server_kernel + "', request asked for '" + wire.kernel + "'");
     return;
   }
-  if (want_image) {
-    const std::uint64_t image_bytes =
-        std::uint64_t(wire.width) * std::uint64_t(wire.height) * 3u * 4u;
-    if (image_bytes + 1024 > kMaxPayloadBytes) {
-      refuse("requested image does not fit in one frame payload (" +
-             std::to_string(image_bytes) + " bytes)");
-      return;
-    }
+  // One frame-size limit for every request, whether or not it wants the
+  // pixels back: a frame whose image (12 bytes a pixel plus 1024 of
+  // response header) could not travel in one payload never reaches a
+  // worker. Compared in pixels, so no product can wrap.
+  const std::uint64_t pixels =
+      std::uint64_t(wire.width) * std::uint64_t(wire.height);
+  if (pixels > (kMaxPayloadBytes - 1024) / 12) {
+    refuse("requested " + std::to_string(wire.width) + "x" +
+           std::to_string(wire.height) +
+           " frame is over the frame-payload limit (12 bytes a pixel + "
+           "1024 must fit in " +
+           std::to_string(kMaxPayloadBytes) + " bytes)");
+    return;
   }
 
   runtime::ScenePtr scene;
   std::optional<scene::Camera> camera;
   try {
     camera.emplace(wire.camera());
-    // The splat cap applies to the resolved key, so the `scene` spelling
-    // and the legacy gaussian_count field meet the same limit before a
-    // miss generates anything.
-    const std::string key = wire.scene_key();
-    const scene::SceneKey parsed = scene::parse_scene_key(key);
+    // The splat cap applies before a miss generates anything.
+    const scene::SceneKey parsed = scene::parse_scene_key(wire.scene);
     if (parsed.kind == scene::SceneKey::Kind::kSynthetic &&
         parsed.count > config_.max_gaussian_count) {
-      throw Error("scene '" + key + "' has " + std::to_string(parsed.count) +
+      throw Error("scene '" + wire.scene + "' has " +
+                  std::to_string(parsed.count) +
                   " Gaussians, over the server's max_gaussian_count of " +
                   std::to_string(config_.max_gaussian_count));
     }
-    scene = service_.scene(key);
+    scene = service_.scene(wire.scene);
   } catch (const std::exception& e) {
     // Scene resolution failures — an unparseable key, an over-cap
     // synthetic count, a missing PLY, or a scene-store admission rejection

@@ -41,16 +41,29 @@ struct PlyLayout {
   std::size_t idc0 = 0, iop = 0, isc0 = 0, irot0 = 0, irest0 = 0;
 };
 
+/// A bad file is a user error, not a broken invariant: name the file.
+Error bad_ply(const std::string& path, const std::string& what) {
+  return Error("PLY '" + path + "': " + what);
+}
+
+/// Opens `path` for reading, or throws naming it.
+std::ifstream open_ply(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is.is_open()) throw bad_ply(path, "cannot open");
+  return is;
+}
+
 /// Consumes the PLY header from `is` (leaving it at the payload) and
-/// validates the format and required properties.
+/// validates the format, the required properties, and that the file holds
+/// the payload the header declares.
 PlyLayout parse_ply_header(std::istream& is, const std::string& path) {
   std::string line;
   std::getline(is, line);
-  GAURAST_CHECK_MSG(line == "ply", "not a PLY file: " << path);
+  if (line != "ply") throw bad_ply(path, "not a PLY file");
 
   std::size_t vertex_count = 0;
   std::vector<std::string> properties;
-  bool binary_le = false;
+  bool ended = false;
   while (std::getline(is, line)) {
     std::istringstream ls(line);
     std::string token;
@@ -58,29 +71,37 @@ PlyLayout parse_ply_header(std::istream& is, const std::string& path) {
     if (token == "format") {
       std::string fmt;
       ls >> fmt;
-      binary_le = (fmt == "binary_little_endian");
-      GAURAST_CHECK_MSG(binary_le, "unsupported PLY format: " << fmt);
+      if (fmt != "binary_little_endian") {
+        throw bad_ply(path, "unsupported format '" + fmt +
+                                "' (only binary_little_endian)");
+      }
     } else if (token == "element") {
       std::string what;
       ls >> what >> vertex_count;
-      GAURAST_CHECK_MSG(what == "vertex", "unexpected PLY element " << what);
+      if (what != "vertex") {
+        throw bad_ply(path, "unexpected element '" + what + "'");
+      }
     } else if (token == "property") {
       std::string type, name;
       ls >> type >> name;
-      GAURAST_CHECK_MSG(type == "float", "unsupported property type " << type);
+      if (type != "float") {
+        throw bad_ply(path, "unsupported property type '" + type + "'");
+      }
       properties.push_back(name);
     } else if (token == "end_header") {
+      ended = true;
       break;
     } else if (token == "comment") {
       continue;
     }
   }
-  GAURAST_CHECK_MSG(vertex_count > 0, "PLY has no vertices");
+  if (!ended) throw bad_ply(path, "header has no end_header line");
+  if (vertex_count == 0) throw bad_ply(path, "no vertices");
 
   // Index the properties we need; tolerate extra/unused ones.
-  auto index_of = [&properties](const std::string& name) {
+  auto index_of = [&](const std::string& name) {
     const auto it = std::find(properties.begin(), properties.end(), name);
-    GAURAST_CHECK_MSG(it != properties.end(), "PLY missing property " << name);
+    if (it == properties.end()) throw bad_ply(path, "missing property " + name);
     return static_cast<std::size_t>(it - properties.begin());
   };
   // decode_row reads f_dc, scale, rot and f_rest as runs of consecutive
@@ -91,9 +112,9 @@ PlyLayout parse_ply_header(std::istream& is, const std::string& path) {
     for (std::size_t k = 1; k < length; ++k) {
       if (first + k >= properties.size() ||
           properties[first + k] != prefix + std::to_string(k)) {
-        throw Error("PLY '" + path + "': properties " + prefix + "0.." +
-                    prefix + std::to_string(length - 1) +
-                    " must be consecutive and in order");
+        throw bad_ply(path, "properties " + prefix + "0.." + prefix +
+                                std::to_string(length - 1) +
+                                " must be consecutive and in order");
       }
     }
     return first;
@@ -112,6 +133,19 @@ PlyLayout parse_ply_header(std::istream& is, const std::string& path) {
       std::find(properties.begin(), properties.end(), "f_rest_0") !=
       properties.end();
   layout.irest0 = layout.has_rest ? run_start("f_rest_", kRestCoeffs) : 0;
+
+  // The vertex count is untrusted until the payload is known to hold it:
+  // nothing sized from it is allocated before this check.
+  const std::streampos payload = is.tellg();
+  is.seekg(0, std::ios::end);
+  const auto payload_bytes = static_cast<std::uint64_t>(is.tellg() - payload);
+  is.seekg(payload);
+  const std::uint64_t row_bytes = properties.size() * sizeof(float);
+  if (payload_bytes / row_bytes < vertex_count) {
+    throw bad_ply(path, "header declares " + std::to_string(vertex_count) +
+                            " vertices, payload holds " +
+                            std::to_string(payload_bytes / row_bytes));
+  }
   return layout;
 }
 
@@ -202,8 +236,7 @@ void save_ply(const GaussianScene& scene, const std::string& path) {
 }
 
 GaussianScene load_ply(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  GAURAST_CHECK_MSG(is.is_open(), "cannot open " << path);
+  std::ifstream is = open_ply(path);
   const PlyLayout layout = parse_ply_header(is, path);
 
   GaussianScene scene(layout.has_rest ? 3 : 0);
@@ -212,7 +245,9 @@ GaussianScene load_ply(const std::string& path) {
   for (std::size_t v = 0; v < layout.vertex_count; ++v) {
     is.read(reinterpret_cast<char*>(row.data()),
             static_cast<std::streamsize>(row.size() * sizeof(float)));
-    GAURAST_CHECK_MSG(is.good(), "truncated PLY payload at vertex " << v);
+    if (!is.good()) {
+      throw bad_ply(path, "truncated payload at vertex " + std::to_string(v));
+    }
     scene.add(decode_row(row.data(), layout));
   }
   return scene;
@@ -220,8 +255,7 @@ GaussianScene load_ply(const std::string& path) {
 
 QuantizedScene load_ply_quantized(const std::string& path,
                                   std::size_t max_bytes) {
-  std::ifstream is(path, std::ios::binary);
-  GAURAST_CHECK_MSG(is.is_open(), "cannot open " << path);
+  std::ifstream is = open_ply(path);
   const PlyLayout layout = parse_ply_header(is, path);
   const int sh_degree = layout.has_rest ? 3 : 0;
 
@@ -249,7 +283,10 @@ QuantizedScene load_ply_quantized(const std::string& path,
     is.read(reinterpret_cast<char*>(chunk.data()),
             static_cast<std::streamsize>(rows * layout.property_count *
                                          sizeof(float)));
-    GAURAST_CHECK_MSG(is.good(), "truncated PLY payload at vertex " << done);
+    if (!is.good()) {
+      throw bad_ply(path,
+                    "truncated payload at vertex " + std::to_string(done));
+    }
     for (std::size_t r = 0; r < rows; ++r) {
       builder.add(decode_row(chunk.data() + r * layout.property_count,
                              layout));

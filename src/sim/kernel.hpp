@@ -4,8 +4,8 @@
 // lockstep by a SimKernel. Each cycle has two phases, mirroring a
 // synchronous-digital two-phase evaluation:
 //   - evaluate(): combinational work; modules read peers' *registered* state
-//     and compute next-state (may enqueue into Fifos' staging side).
-//   - commit():   registered state update; Fifo staging becomes visible.
+//     and compute next-state.
+//   - commit():   registered state update; next-state becomes visible.
 // This avoids intra-cycle ordering artifacts between modules.
 #pragma once
 

@@ -12,9 +12,9 @@
 //                           p=0.3) are absorbed by retry/failover; every
 //                           request terminates, and every successful frame
 //                           is bit-identical to its clean-run twin;
-//   breaker                 injected consecutive failures trip the
-//                           per-shard circuit breaker open, and the
-//                           prober's first post-cooldown success closes it;
+//   breaker                 injected consecutive failures kill a shard,
+//                           and the prober's first success after the
+//                           re-admission cooldown brings it back;
 //   crash-loop              a worker process armed (via GAURAST_FAULT_PLAN,
 //                           the env inheritance a spawned fleet really
 //                           uses) to _exit mid-respond is reaped and
@@ -224,7 +224,7 @@ class Fleet {
     for (std::uint64_t seed = 0;; ++seed) {
       net::RenderRequest req =
           net::default_render_request(count, seed, width, height);
-      if (db_->hrw_order(req.scene_key())[0] == owner) return seed;
+      if (db_->hrw_order(req.scene)[0] == owner) return seed;
     }
   }
 
@@ -348,8 +348,7 @@ TEST(Chaos, BreakerOpensUnderFailuresAndProberRecloses) {
   router_config.connect_timeout_ms = 500;
   router_config.probe_interval_ms = 50;
   HostDbConfig db_config;
-  db_config.breaker_trip_failures = 2;
-  db_config.breaker_open_ms = 300;
+  db_config.readmit_after_ms = 300;
   Fleet fleet(2, {}, router_config, db_config);
 
   const std::size_t victim = 0;
@@ -357,30 +356,29 @@ TEST(Chaos, BreakerOpensUnderFailuresAndProberRecloses) {
   net::RenderRequest wire = net::default_render_request(600, seed, 64, 48);
 
   fleet.kill_shard(victim);
-  // Drive failures through the router until the breaker trips (each
-  // failed forward reports into the same HostDb the prober feeds).
+  // Drive failures through the router until the victim dies (each failed
+  // forward reports into the same HostDb the prober feeds).
   net::Client client("127.0.0.1", fleet.router_port());
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!fleet.db().breaker_open(victim)) {
+  while (fleet.db().state(victim) != ShardState::kDead) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "breaker never tripped";
+        << "shard never died";
     // Failover still answers kOk off the surviving shard while the victim
     // racks up failures.
     EXPECT_EQ(client.render(wire).status, net::RenderStatus::kOk);
   }
-  EXPECT_GE(fleet.db().snapshot()[victim].breaker_trips, 1u);
+  EXPECT_GE(fleet.db().snapshot()[victim].deaths, 1u);
 
-  // Recovery: the shard comes back, the prober's post-cooldown success
-  // closes the breaker, and ownership deterministically returns.
+  // Recovery: the shard comes back, the prober's first success after the
+  // cooldown re-admits it, and ownership deterministically returns.
   fleet.restart_shard(victim);
-  while (fleet.db().breaker_open(victim) ||
-         fleet.db().state(victim) != ShardState::kAlive) {
+  while (fleet.db().state(victim) != ShardState::kAlive) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "breaker never closed after recovery";
+        << "shard never re-admitted after recovery";
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(*fleet.db().route(wire.scene_key()), victim);
+  EXPECT_EQ(*fleet.db().route(wire.scene), victim);
   EXPECT_EQ(client.render(wire).status, net::RenderStatus::kOk);
 }
 

@@ -123,6 +123,21 @@ run 1 render --synthetic 100 --out "$TMP/no/such/dir/x.ppm" || true
 expect_contains "$ERR" "cannot write --out" "unwritable out rejected"
 expect_clean "$ERR" "unwritable out diagnostic"
 
+# 8h. Loader content errors (a readable file with a bad body) name the
+# file and the problem, never a source line.
+printf 'ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty float x\nproperty float z\nend_header\n01234567' >"$TMP/noy.ply"
+run 1 render --ply "$TMP/noy.ply" || true
+expect_contains "$ERR" "PLY '$TMP/noy.ply': missing property y" "bad ply body names the file"
+expect_clean "$ERR" "bad ply body diagnostic"
+printf 'XXXXjunkjunkjunk' >"$TMP/bad.gtr"
+run 1 replay --trace "$TMP/bad.gtr" || true
+expect_contains "$ERR" "trace '$TMP/bad.gtr': bad magic" "bad trace body names the file"
+expect_clean "$ERR" "bad trace body diagnostic"
+printf 'pes_per_module = 0\n' >"$TMP/bad.cfg"
+run 1 simulate --scene bicycle --config "$TMP/bad.cfg" || true
+expect_contains "$ERR" "config '$TMP/bad.cfg': pes_per_module" "bad config body names the file"
+expect_clean "$ERR" "bad config body diagnostic"
+
 # 9. Empty '=' value for an integer flag: exit 1, clean diagnostic.
 run 1 render --synthetic= || true
 expect_contains "$ERR" "is not an integer" "empty int value rejected"
@@ -377,6 +392,9 @@ expect_clean "$ERR" "bad shard spec diagnostic"
 run 1 route --shard 127.0.0.1:4000 --workers 2 || true
 expect_contains "$ERR" "requires --spawn" "worker config without --spawn rejected"
 expect_clean "$ERR" "worker config diagnostic"
+run 1 route --shard 127.0.0.1:4000 --readmit-after-ms -1 || true
+expect_contains "$ERR" "--readmit-after-ms must be >= 0" "negative readmit cooldown rejected"
+expect_clean "$ERR" "readmit cooldown diagnostic"
 
 ROUTE_LOG="$TMP/route.log"
 "$CLI" route --spawn 2 --backend sw --workers 1 >"$ROUTE_LOG" 2>&1 &
@@ -404,7 +422,7 @@ else
   fi
   # The stats endpoint through the router is the merged fleet document.
   run 0 request --port "$ROUTE_PORT" --stats || true
-  expect_contains "$STDOUT" '"schema":"gaurast-fleet-stats/v1"' "routed stats is the fleet document"
+  expect_contains "$STDOUT" '"schema":"gaurast-fleet-stats/v2"' "routed stats is the fleet document"
   expect_contains "$STDOUT" '"gaurast-serve-stats/v3"' "fleet document embeds per-shard stats"
   # Kill one worker -9: the fleet keeps serving (failover) and the
   # supervisor restarts the corpse on its original port.
@@ -441,7 +459,7 @@ else
     FAILURES=$((FAILURES + 1))
   fi
   expect_contains "$(cat "$ROUTE_LOG")" "shutting down" "route announces graceful shutdown"
-  expect_contains "$(cat "$ROUTE_LOG")" '"schema":"gaurast-fleet-stats/v1"' "route prints a final fleet report"
+  expect_contains "$(cat "$ROUTE_LOG")" '"schema":"gaurast-fleet-stats/v2"' "route prints a final fleet report"
 fi
 
 if [[ "$FAILURES" -ne 0 ]]; then

@@ -1,6 +1,6 @@
 // Tests for the gaurast::cluster subsystem: shard-spec parsing, the
-// alive/suspect/dead health state machine, the per-shard circuit breaker
-// (trip, cooldown, half-open recovery), rendezvous-hash determinism and
+// alive/suspect/dead health state machine and its re-admission cooldown,
+// rendezvous-hash determinism and
 // remap-on-death/recovery, the RetryPolicy budget/backoff contract, the
 // Spawner's RestartBackoff schedule, the fleet-stats merge, and the Router
 // end to end — routed-vs-direct bit-identity on the canonical 20k/320x240
@@ -149,47 +149,53 @@ TEST(HostDb, RouteRemapsOnDeathAndRecovery) {
 
 TEST(HostDb, BreakerTripsCoolsDownAndRecovers) {
   HostDbConfig config;
-  config.breaker_trip_failures = 3;
-  config.breaker_open_ms = 50;
+  config.dead_after_failures = 3;
+  config.readmit_after_ms = 50;
   HostDb db(make_shards(3), config);
   const std::string key = "synthetic-20000-s42";
   const std::vector<std::size_t> order = db.hrw_order(key);
   const std::size_t owner = order[0];
 
-  // Failures below the threshold leave the breaker closed.
+  // Failures below the threshold leave the shard routable.
   db.report_failure(owner);
   db.report_failure(owner);
-  EXPECT_FALSE(db.breaker_open(owner));
+  EXPECT_EQ(db.state(owner), ShardState::kSuspect);
+  EXPECT_EQ(db.route(key), owner);
   db.report_failure(owner);
-  EXPECT_TRUE(db.breaker_open(owner));
-  EXPECT_EQ(db.snapshot()[owner].breaker_trips, 1u);
-  EXPECT_EQ(db.route(key), order[1]) << "open breaker must exclude the shard";
+  EXPECT_EQ(db.state(owner), ShardState::kDead);
+  EXPECT_EQ(db.snapshot()[owner].deaths, 1u);
+  EXPECT_EQ(db.route(key), order[1]) << "a dead shard must be excluded";
 
-  // A success during the cooldown resurrects health (alive again) but is
-  // ignored by the breaker — a flapping shard cannot thrash the routing
-  // map once per flap.
+  // A success during the cooldown is ignored — a flapping shard cannot
+  // thrash the routing map once per flap.
+  db.report_success(owner);
+  EXPECT_EQ(db.state(owner), ShardState::kDead);
+  EXPECT_EQ(db.route(key), order[1]);
+  // A failure late in the cooldown does not restart it: the cooldown still
+  // ends readmit_after_ms after the death, not after this failure.
+  std::this_thread::sleep_for(std::chrono::milliseconds(35));
+  db.report_failure(owner);
+  EXPECT_EQ(db.snapshot()[owner].deaths, 1u);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  // First post-cooldown success (in production: the prober's probe)
+  // re-admits the shard, and ownership returns.
   db.report_success(owner);
   EXPECT_EQ(db.state(owner), ShardState::kAlive);
-  EXPECT_TRUE(db.breaker_open(owner));
-  EXPECT_EQ(db.route(key), order[1]);
-  // Later failures do not re-stamp the trip time: the cooldown still ends
-  // breaker_open_ms after the original trip.
-  db.report_failure(owner);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  // First post-cooldown success (in production: the prober's half-open
-  // probe) closes the breaker and re-admits the shard.
-  db.report_success(owner);
-  EXPECT_FALSE(db.breaker_open(owner));
   EXPECT_EQ(db.route(key), owner);
-  EXPECT_EQ(db.snapshot()[owner].breaker_trips, 1u);
+  EXPECT_EQ(db.snapshot()[owner].deaths, 1u);
+
+  // Each transition into dead counts once, however many failures follow.
+  for (int i = 0; i < 5; ++i) db.report_failure(owner);
+  EXPECT_EQ(db.state(owner), ShardState::kDead);
+  EXPECT_EQ(db.snapshot()[owner].deaths, 2u);
 }
 
 TEST(HostDb, BreakerDisabledByDefault) {
   HostDb db(make_shards(2));
   for (int i = 0; i < 10; ++i) db.report_failure(0);
-  EXPECT_FALSE(db.breaker_open(0));
-  EXPECT_EQ(db.snapshot()[0].breaker_trips, 0u);
+  EXPECT_EQ(db.state(0), ShardState::kDead);
+  EXPECT_EQ(db.snapshot()[0].deaths, 1u);
   // Dead from failures, routable again on the first success — no cooldown.
   db.report_success(0);
   EXPECT_EQ(db.state(0), ShardState::kAlive);
@@ -346,7 +352,7 @@ TEST(FleetStats, MergeSumsTotalsAndKeepsPerShardDetail) {
   router.route_overhead_ms = {1.0, 3.0};
 
   const std::string json = merge_fleet_stats(entries, router);
-  EXPECT_EQ(json.find("{\"schema\":\"gaurast-fleet-stats/v1\""), 0u);
+  EXPECT_EQ(json.find("{\"schema\":\"gaurast-fleet-stats/v2\""), 0u);
   EXPECT_NE(json.find("\"shards_total\":3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"shards_alive\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"submitted\":12"), std::string::npos) << json;
@@ -358,8 +364,7 @@ TEST(FleetStats, MergeSumsTotalsAndKeepsPerShardDetail) {
   EXPECT_NE(json.find("\"latency_mean_ms\":15"), std::string::npos) << json;
   EXPECT_NE(json.find("\"route_overhead_mean_ms\":2"), std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"state\":\"dead\",\"breaker_open\":false,"
-                      "\"breaker_trips\":0,\"stats\":null"),
+  EXPECT_NE(json.find("\"state\":\"dead\",\"deaths\":0,\"stats\":null"),
             std::string::npos)
       << json;
   // Per-shard serve stats are embedded verbatim, not averaged away.
@@ -429,7 +434,7 @@ class Fleet {
     for (std::uint64_t seed = first_seed;; ++seed) {
       net::RenderRequest req =
           net::default_render_request(count, seed, width, height);
-      if (db_->hrw_order(req.scene_key())[0] == owner) return seed;
+      if (db_->hrw_order(req.scene)[0] == owner) return seed;
     }
   }
 
@@ -463,7 +468,7 @@ TEST(Router, RoutedRenderMatchesDirectServeBitIdentical) {
   // The same frame served directly, bypassing the router. Both shards run
   // the identical sw configuration, so direct output from either is the
   // ground truth.
-  const std::size_t owner = *fleet.db().route(wire.scene_key());
+  const std::size_t owner = *fleet.db().route(wire.scene);
   net::Client direct("127.0.0.1", fleet.shard_port(owner),
                      /*timeout_ms=*/60000);
   const net::RenderResponse direct_resp = direct.render(wire);
@@ -567,8 +572,8 @@ TEST(Router, ProberResurrectsARestartedShard) {
   // Ownership deterministically moves back.
   const std::uint64_t seed = fleet.seed_owned_by(0, 500, 64, 48);
   net::RenderRequest wire = net::default_render_request(500, seed, 64, 48);
-  EXPECT_EQ(*fleet.db().route(wire.scene_key()),
-            fleet.db().hrw_order(wire.scene_key())[0]);
+  EXPECT_EQ(*fleet.db().route(wire.scene),
+            fleet.db().hrw_order(wire.scene)[0]);
   net::Client client("127.0.0.1", fleet.router_port());
   EXPECT_EQ(client.render(wire).status, net::RenderStatus::kOk);
 }
@@ -692,7 +697,7 @@ TEST(Router, AllShardsDownYieldsFleetUnavailableNotAHang) {
   // The connection survived; the merged stats still answer and both shards
   // report dead.
   const std::string stats = client.stats().json;
-  EXPECT_EQ(stats.find("{\"schema\":\"gaurast-fleet-stats/v1\""), 0u);
+  EXPECT_EQ(stats.find("{\"schema\":\"gaurast-fleet-stats/v2\""), 0u);
   EXPECT_NE(stats.find("\"shards_alive\":0"), std::string::npos) << stats;
   const RouterStatsSnapshot snap = router.stats_snapshot();
   EXPECT_GE(snap.fleet_unavailable, 1u);
@@ -707,7 +712,7 @@ TEST(Router, StatsEndpointsServeMergedFleetDocument) {
 
   // Wire stats frame: the merged fleet document, not a single-shard one.
   const std::string json = client.stats().json;
-  EXPECT_EQ(json.find("{\"schema\":\"gaurast-fleet-stats/v1\""), 0u);
+  EXPECT_EQ(json.find("{\"schema\":\"gaurast-fleet-stats/v2\""), 0u);
   EXPECT_NE(json.find("\"shards_total\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"routed_ok\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("gaurast-serve-stats/v3"), std::string::npos)
@@ -717,7 +722,7 @@ TEST(Router, StatsEndpointsServeMergedFleetDocument) {
   net::Client http_stats("127.0.0.1", fleet.router_port());
   const std::string body = http_stats.http_get("/stats");
   EXPECT_NE(body.find("200 OK"), std::string::npos);
-  EXPECT_NE(body.find("gaurast-fleet-stats/v1"), std::string::npos);
+  EXPECT_NE(body.find("gaurast-fleet-stats/v2"), std::string::npos);
 
   net::Client healthz("127.0.0.1", fleet.router_port());
   const std::string health = healthz.http_get("/healthz");

@@ -1,5 +1,5 @@
-// Tests for the GauRastDevice public API, texture sampling, scene filters
-// and the GPU raster kernel breakdown.
+// Tests for the GauRastDevice public API, texture sampling and the GPU
+// raster kernel breakdown.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "core/device.hpp"
 #include "mesh/primitives.hpp"
 #include "mesh/texture.hpp"
-#include "scene/filters.hpp"
 #include "scene/generator.hpp"
 
 namespace gaurast {
@@ -139,59 +138,6 @@ TEST(Texture, TexturedRenderDiffersFromFlatAndCoversSamePixels) {
   for (std::size_t i = 0; i < flat.depth.size(); i += 97) {
     EXPECT_EQ(textured.depth[i], flat.depth[i]);
   }
-}
-
-// ------------------------------------------------------------- Filters --
-
-TEST(Filters, PruneByOpacityDropsOnlyFaint) {
-  const auto sc = device_scene(1000);
-  const auto kept = scene::prune_by_opacity(sc, 0.3f);
-  EXPECT_LT(kept.size(), sc.size());
-  for (float o : kept.opacities()) EXPECT_GE(o, 0.3f);
-}
-
-TEST(Filters, PruneByOpacityImageNearIdenticalAtThreshold) {
-  // Pruning below 1/255 cannot change any blended contribution... but it
-  // can change early-termination pair counts; the image must stay close.
-  const auto sc = device_scene(3000);
-  const auto kept = scene::prune_by_opacity(sc, 1.0f / 255.0f);
-  const scene::Camera cam = scene::default_camera({}, 96, 72);
-  const pipeline::GaussianRenderer renderer;
-  const auto a = renderer.render(sc, cam);
-  const auto b = renderer.render(kept, cam);
-  // Not bit-exact: copying Gaussians through the filter re-normalizes the
-  // (already unit) rotation quaternions, perturbing conics by ~1 ULP.
-  EXPECT_LT(b.image.max_abs_diff(a.image), 1e-5f);
-}
-
-TEST(Filters, TruncateShReducesDegreeAndTraffic) {
-  const auto sc = device_scene(500);
-  const auto flat = scene::truncate_sh(sc, 0);
-  EXPECT_EQ(flat.sh_degree(), 0);
-  EXPECT_EQ(flat.size(), sc.size());
-  EXPECT_LT(flat.bytes_per_gaussian(), sc.bytes_per_gaussian());
-  // DC coefficients survive.
-  EXPECT_EQ(flat.sh()[0][0], sc.sh()[0][0]);
-}
-
-TEST(Filters, TruncateShCannotRaiseDegree) {
-  const auto flat = scene::truncate_sh(device_scene(10), 0);
-  EXPECT_THROW(scene::truncate_sh(flat, 3), Error);
-}
-
-TEST(Filters, SubsampleKeepsExpectedFraction) {
-  const auto sc = device_scene(5000);
-  const auto half = scene::subsample(sc, 0.5, 11);
-  EXPECT_NEAR(static_cast<double>(half.size()),
-              static_cast<double>(sc.size()) * 0.5,
-              static_cast<double>(sc.size()) * 0.05);
-  // Deterministic in seed.
-  EXPECT_EQ(scene::subsample(sc, 0.5, 11).size(), half.size());
-}
-
-TEST(Filters, SubsampleInvalidFractionThrows) {
-  EXPECT_THROW(scene::subsample(device_scene(10), 0.0, 1), Error);
-  EXPECT_THROW(scene::subsample(device_scene(10), 1.5, 1), Error);
 }
 
 // ------------------------------------------------- Kernel breakdown -----

@@ -120,6 +120,21 @@ TEST(PlyIo, TruncatedPayloadThrows) {
   os.write(content.data(), static_cast<std::streamsize>(content.size() - 64));
   os.close();
   EXPECT_THROW(scene::load_ply(path), Error);
+
+  // A header promising more vertices than any payload could hold is
+  // refused before anything is sized from the count.
+  os.open(path, std::ios::binary | std::ios::trunc);
+  os << "ply\nformat binary_little_endian 1.0\n"
+        "element vertex 18446744073709551615\n";
+  for (const char* name : {"x", "y", "z", "f_dc_0", "f_dc_1", "f_dc_2",
+                           "opacity", "scale_0", "scale_1", "scale_2",
+                           "rot_0", "rot_1", "rot_2", "rot_3"}) {
+    os << "property float " << name << "\n";
+  }
+  os << "end_header\n" << std::string(14 * sizeof(float), '\0');
+  os.close();
+  EXPECT_THROW(scene::load_ply(path), Error);
+  EXPECT_THROW(scene::load_ply_quantized(path), Error);
   std::remove(path.c_str());
 }
 
@@ -296,6 +311,26 @@ TEST(Trace, ReplayOnLargerConfigIsFaster) {
   big.module_count = 4;
   EXPECT_LT(core::replay_trace(tiles, big).makespan_cycles,
             core::replay_trace(tiles, small).makespan_cycles);
+}
+
+TEST(Trace, TileCountBeyondThePayloadThrows) {
+  // A count of 2^64-1 over one tile's bytes is an error naming the file,
+  // not an allocation sized from the count.
+  const std::string path = ::testing::TempDir() + "/huge.gtr";
+  {
+    std::ofstream os(path, std::ios::binary);
+    const std::uint64_t count = ~std::uint64_t{0};
+    os.write("GTR1", 4);
+    os.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    os << std::string(16, '\0');
+  }
+  try {
+    core::load_trace(path);
+    ADD_FAILURE() << "load_trace accepted a truncated trace";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Trace, BadMagicThrows) {

@@ -13,7 +13,7 @@
 #include "mesh/primitives.hpp"
 #include "pipeline/renderer.hpp"
 #include "scene/generator.hpp"
-#include "scene/scene_io.hpp"
+#include "scene/ply_io.hpp"
 
 namespace gaurast {
 namespace {
@@ -23,9 +23,9 @@ TEST(Integration, FullFramePathSoftwareVsHardware) {
   scene::GeneratorParams params;
   params.gaussian_count = 3000;
   const scene::GaussianScene gscene = scene::generate_scene(params);
-  const std::string path = ::testing::TempDir() + "/integration_scene.gsc";
-  scene::save_scene(gscene, path);
-  const scene::GaussianScene loaded = scene::load_scene(path);
+  const std::string path = ::testing::TempDir() + "/integration_scene.ply";
+  scene::save_ply(gscene, path);
+  const scene::GaussianScene loaded = scene::load_ply(path);
 
   const scene::Camera camera = scene::default_camera(params, 192, 144);
   const pipeline::GaussianRenderer renderer;

@@ -6,7 +6,8 @@
 // control (a full queue yields an explicit OVERLOADED wire response), the
 // TimeoutError/ConnectionError client failure taxonomy, idle-timeout
 // closes, the HTTP stats/health endpoints, graceful shutdown draining
-// in-flight work, and the Gaussian-count cap on both scene-key spellings.
+// in-flight work, the Gaussian-count cap, and the frame-size limit on every
+// render request.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -179,8 +180,6 @@ TEST(Protocol, RenderRequestRoundTrip) {
   const RenderRequest back = deserialize_render_request(
       frame.data() + kHeaderBytes, header.payload_size);
   EXPECT_EQ(back.request_id, req.request_id);
-  EXPECT_EQ(back.gaussian_count, req.gaussian_count);
-  EXPECT_EQ(back.scene_seed, req.scene_seed);
   EXPECT_EQ(back.width, req.width);
   EXPECT_EQ(back.height, req.height);
   EXPECT_EQ(back.fov_y, req.fov_y);
@@ -192,7 +191,17 @@ TEST(Protocol, RenderRequestRoundTrip) {
   EXPECT_EQ(back.flags, req.flags);
   EXPECT_EQ(back.backend, req.backend);
   EXPECT_EQ(back.kernel, req.kernel);
-  EXPECT_EQ(back.scene_key(), "synthetic:1234@99");
+  EXPECT_EQ(back.scene, "synthetic:1234@99");
+}
+
+TEST(Protocol, EmptySceneKeyRejected) {
+  RenderRequest req = sample_request();
+  req.scene.clear();
+  const auto frame = serialize(req);
+  const FrameHeader header = decode_header(frame.data());
+  EXPECT_THROW(deserialize_render_request(frame.data() + kHeaderBytes,
+                                          header.payload_size),
+               ProtocolError);
 }
 
 TEST(Protocol, RenderResponseRoundTripBitExactPixels) {
@@ -261,6 +270,7 @@ TEST(Protocol, HeaderRejectsMalformedFrames) {
                ProtocolError);  // unknown version
   EXPECT_THROW(decode_header(corrupted(4, 1).data()), ProtocolError);  // v1
   EXPECT_THROW(decode_header(corrupted(4, 2).data()), ProtocolError);  // v2
+  EXPECT_THROW(decode_header(corrupted(4, 3).data()), ProtocolError);  // v3
   EXPECT_THROW(decode_header(corrupted(5, 0).data()), ProtocolError);
   EXPECT_THROW(decode_header(corrupted(5, 99).data()), ProtocolError);
   EXPECT_THROW(decode_header(corrupted(6, 1).data()), ProtocolError);
@@ -298,15 +308,17 @@ TEST(Protocol, TruncatedRequestTailRejected) {
                                        header.payload_size)
                 .deadline_ms,
             250u);
-  // The payload ends with deadline_ms u32 and the scene string (an empty
-  // one is its 4-byte length prefix). Cut before either, it is a
+  // The payload ends with deadline_ms u32 and the scene string (a 4-byte
+  // length prefix, then its bytes). Cut before either, it is a
   // ProtocolError, never a zero-default.
+  const std::size_t scene_bytes = 4 + req.scene.size();
   EXPECT_THROW(deserialize_render_request(frame.data() + kHeaderBytes,
-                                          header.payload_size - 4),
+                                          header.payload_size - scene_bytes),
                ProtocolError);  // before `scene`
-  EXPECT_THROW(deserialize_render_request(frame.data() + kHeaderBytes,
-                                          header.payload_size - 8),
-               ProtocolError);  // before `deadline_ms`
+  EXPECT_THROW(
+      deserialize_render_request(frame.data() + kHeaderBytes,
+                                 header.payload_size - scene_bytes - 4),
+      ProtocolError);  // before `deadline_ms`
 }
 
 TEST(Protocol, RenderResponsePixelByteCountOverflowRejected) {
@@ -376,7 +388,7 @@ TEST(Server, RenderMatchesDirectSubmitBitIdentical) {
     EXPECT_EQ(resp.request_id, 3u);
     EXPECT_GT(resp.latency_ms, 0.0);
 
-    const runtime::ScenePtr scene = service.scene(wire.scene_key());
+    const runtime::ScenePtr scene = service.scene(wire.scene);
     const Image direct =
         service.submit({scene, scene::default_camera({}, 320, 240)})
             .get()
@@ -464,7 +476,7 @@ TEST(Server, MismatchedOptionsAreExplicitServerErrors) {
     EXPECT_NE(r2.message.find("kernel mismatch"), std::string::npos);
 
     RenderRequest too_big = default_render_request(600, 7, 64, 48);
-    too_big.gaussian_count = 1u << 30;
+    too_big.scene = "synthetic:" + std::to_string(1u << 30);
     const RenderResponse r3 = client.render(too_big);
     EXPECT_EQ(r3.status, RenderStatus::kServerError);
     EXPECT_NE(r3.message.find("gaussian_count"), std::string::npos);
@@ -508,6 +520,33 @@ TEST(Server, GaussianCapAppliesToSyntheticSceneKey) {
   });
 }
 
+TEST(Server, FrameSizeLimitAppliesWithoutImageFlag) {
+  runtime::ServiceConfig config;
+  config.backend = "sw";
+  with_server(config, {}, [](runtime::RenderService& service, Server& server) {
+    Client client("127.0.0.1", server.port());
+    // No pixels would travel back, but a 40000x40000 frame would still
+    // hold a worker for many seconds: the one frame-size limit refuses it
+    // before the scene store resolves anything.
+    const RenderRequest huge = default_render_request(600, 7, 40000, 40000);
+    ASSERT_EQ(huge.flags & kWantImage, 0u);
+    const RenderResponse refused = client.render(huge);
+    EXPECT_EQ(refused.status, RenderStatus::kServerError);
+    EXPECT_NE(refused.message.find(std::to_string(kMaxPayloadBytes)),
+              std::string::npos)
+        << refused.message;
+    EXPECT_EQ(service.cached_scene_count(), 0u);
+
+    // The refusal left the connection serving.
+    RenderRequest small = default_render_request(600, 7, 64, 48);
+    small.flags = kWantImage;
+    const RenderResponse ok = client.render(small);
+    ASSERT_EQ(ok.status, RenderStatus::kOk) << ok.message;
+    EXPECT_EQ(ok.image_width, 64);
+    EXPECT_EQ(ok.image_height, 48);
+  });
+}
+
 TEST(Server, MalformedFrameGetsErrorFrameAndClose) {
   runtime::ServiceConfig config;
   config.backend = "sw";
@@ -545,15 +584,11 @@ TEST(Server, OldVersionFramesGetErrorFrameAndClose) {
   runtime::ServiceConfig config;
   config.backend = "sw";
   with_server(config, {}, [](runtime::RenderService&, Server& server) {
-    // What a v1 peer sent (no deadline_ms, no scene) and what a v2 peer
-    // sent (no scene), each under its own version byte.
-    struct OldPeer {
-      std::size_t drop;
-      std::uint8_t version;
-    };
-    for (const OldPeer peer : {OldPeer{8, 1}, OldPeer{4, 2}}) {
+    // Every older version byte is refused on the header, before any
+    // payload field is read, whatever shape of payload follows.
+    for (const std::uint8_t version : {1, 2, 3}) {
       RawConn conn(server.port());
-      conn.send_bytes(cut_request_frame(peer.drop, peer.version));
+      conn.send_bytes(cut_request_frame(0, version));
       const std::vector<std::uint8_t> reply = conn.read_until_close();
       ASSERT_GE(reply.size(), kHeaderBytes);
       const FrameHeader header = decode_header(reply.data());
@@ -569,7 +604,7 @@ TEST(Server, TruncatedRequestTailRejectedLoudly) {
   runtime::ServiceConfig config;
   config.backend = "sw";
   with_server(config, {}, [](runtime::RenderService&, Server& server) {
-    // The current version byte on a payload cut before `scene`: a protocol
+    // The current version byte on a payload cut inside `scene`: a protocol
     // error (kError frame and close), never a silently defaulted field.
     RawConn conn(server.port());
     conn.send_bytes(cut_request_frame(4, kProtocolVersion));

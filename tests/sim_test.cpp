@@ -1,13 +1,10 @@
-// Tests for the cycle-simulation kernel, two-phase FIFO, memory port and
-// counters.
+// Tests for the cycle-simulation kernel and counters.
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "sim/counters.hpp"
-#include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
-#include "sim/memport.hpp"
 
 namespace gaurast::sim {
 namespace {
@@ -66,107 +63,6 @@ TEST(SimKernel, StepAdvancesClock) {
   kernel.step();
   kernel.step();
   EXPECT_EQ(kernel.now(), 2u);
-}
-
-// ---------------------------------------------------------------- Fifo --
-
-TEST(Fifo, PushVisibleOnlyAfterCommit) {
-  Fifo<int> f(4);
-  f.push(42);
-  EXPECT_TRUE(f.empty());  // staged, not committed
-  f.commit();
-  ASSERT_FALSE(f.empty());
-  EXPECT_EQ(f.front(), 42);
-  EXPECT_EQ(f.pop(), 42);
-}
-
-TEST(Fifo, CapacityCountsStagedEntries) {
-  Fifo<int> f(2);
-  f.push(1);
-  f.push(2);
-  EXPECT_TRUE(f.full());
-  EXPECT_THROW(f.push(3), Error);
-  f.commit();
-  EXPECT_TRUE(f.full());
-  (void)f.pop();
-  EXPECT_FALSE(f.full());
-}
-
-TEST(Fifo, FifoOrderPreserved) {
-  Fifo<int> f(8);
-  for (int i = 0; i < 5; ++i) f.push(i);
-  f.commit();
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(f.pop(), i);
-}
-
-TEST(Fifo, PopEmptyThrows) {
-  Fifo<int> f(2);
-  EXPECT_THROW(f.pop(), Error);
-}
-
-TEST(Fifo, DrainedChecksStagedToo) {
-  Fifo<int> f(2);
-  EXPECT_TRUE(f.drained());
-  f.push(1);
-  EXPECT_FALSE(f.drained());
-  f.commit();
-  EXPECT_FALSE(f.drained());
-  (void)f.pop();
-  EXPECT_TRUE(f.drained());
-}
-
-TEST(Fifo, ZeroCapacityRejected) {
-  EXPECT_THROW(Fifo<int>(0), Error);
-}
-
-// ------------------------------------------------------------- MemPort --
-
-TEST(MemPort, TransferTimeMatchesBandwidthPlusLatency) {
-  MemPort port({/*bytes_per_cycle=*/32.0, /*latency=*/10});
-  const auto id = port.request(320, /*now=*/0);
-  EXPECT_EQ(port.completion_cycle(id), 10u + 10u);  // 320/32 + latency
-  EXPECT_FALSE(port.complete(id, 19));
-  EXPECT_TRUE(port.complete(id, 20));
-}
-
-TEST(MemPort, BackToBackTransfersSerialize) {
-  MemPort port({32.0, 5});
-  const auto a = port.request(320, 0);   // occupies bus cycles 0-10
-  const auto b = port.request(320, 0);   // starts at 10
-  EXPECT_EQ(port.completion_cycle(a), 15u);
-  EXPECT_EQ(port.completion_cycle(b), 25u);
-}
-
-TEST(MemPort, IdleGapResetsPipe) {
-  MemPort port({32.0, 5});
-  (void)port.request(32, 0);  // done transferring at 1
-  const auto b = port.request(32, 100);
-  EXPECT_EQ(port.completion_cycle(b), 106u);
-}
-
-TEST(MemPort, TracksTotals) {
-  MemPort port({16.0, 2});
-  (void)port.request(100, 0);
-  (void)port.request(50, 1);
-  EXPECT_EQ(port.total_bytes(), 150u);
-  EXPECT_EQ(port.total_requests(), 2u);
-}
-
-TEST(MemPort, RetireDropsOldRecords) {
-  MemPort port({16.0, 2});
-  const auto a = port.request(16, 0);  // completes at 3
-  port.retire_before(10);
-  // Retired ids report completion 0 (treated as long past).
-  EXPECT_EQ(port.completion_cycle(a), 0u);
-}
-
-TEST(MemPort, UnknownIdThrows) {
-  MemPort port({16.0, 2});
-  EXPECT_THROW(port.completion_cycle(99), Error);
-}
-
-TEST(MemPort, RejectsZeroBandwidth) {
-  EXPECT_THROW(MemPort({0.0, 2}), Error);
 }
 
 // ------------------------------------------------------------ Counters --

@@ -22,7 +22,7 @@
 //                        [--backend NAME] [--kernel reference|fast]
 //                        [--threads T] [--json out.json]
 //                        [--deadline-ms MS] [--fault-plan PLAN]
-//                        [--breaker-failures N]
+//                        [--readmit-after-ms MS]
 //   gaurast_cli backends [--json out.json|-]
 //   gaurast_cli report
 //
@@ -37,7 +37,7 @@
 // it speaks the same wire protocol as `serve --listen` but forwards each
 // request to the shard that owns its scene (rendezvous hashing over the
 // alive shards of cluster::HostDb), with health probing, failover, and
-// merged gaurast-fleet-stats/v1 reporting; --spawn forks and supervises N
+// merged gaurast-fleet-stats/v2 reporting; --spawn forks and supervises N
 // local workers instead of joining pre-started --shard ones. `backends`
 // lists the engine registry — every --backend value, its capabilities and
 // operating point. `report` prints the headline paper-reproduction summary.
@@ -535,8 +535,8 @@ int cmd_request(const CliParser& cli) {
   net::RenderRequest wire = net::default_render_request(
       static_cast<std::uint64_t>(cli.get_positive_int("synthetic")),
       cli.get_uint64("seed"), width, height);
-  // --scene rides the v3 wire field as a canonical key, overriding the
-  // derived synthetic addressing; mixing the spellings is a user error.
+  // --scene replaces the synthetic key --synthetic/--seed spell; mixing the
+  // spellings is a user error.
   if (flag_was_set(cli, "scene")) {
     if (flag_was_set(cli, "synthetic") || flag_was_set(cli, "seed")) {
       throw CliParseError(
@@ -623,10 +623,11 @@ int cmd_route(const CliParser& cli) {
                           "configuration)");
     }
   }
-  const int breaker_failures = cli.get_int("breaker-failures");
-  if (breaker_failures < 0) {
+  const int readmit_after_ms = cli.get_int("readmit-after-ms");
+  if (readmit_after_ms < 0) {
     throw CliParseError(
-        "--breaker-failures must be >= 0 (0 = breaker disabled)");
+        "--readmit-after-ms must be >= 0 (0 = re-admit on the first "
+        "success)");
   }
   const std::string json_path = cli.get_string("json");
   OutputFileProbe json_probe(json_path, "json");
@@ -658,7 +659,7 @@ int cmd_route(const CliParser& cli) {
   }
 
   cluster::HostDbConfig db_config;
-  db_config.breaker_trip_failures = breaker_failures;
+  db_config.readmit_after_ms = readmit_after_ms;
   cluster::HostDb db(shards, db_config);
   cluster::RouterConfig router_config;
   router_config.port = listen_port;
@@ -843,7 +844,7 @@ const std::vector<std::string>& command_flags(const std::string& command) {
         "out", "backend", "kernel", "stats", "deadline-ms"}},
       {"route",
        {"listen", "shard", "spawn", "workers", "queue", "backend", "kernel",
-        "threads", "json", "deadline-ms", "fault-plan", "breaker-failures",
+        "threads", "json", "deadline-ms", "fault-plan", "readmit-after-ms",
         "scene-budget-mb", "max-scene-mb", "scene-dir"}},
       {"backends", {"json"}},
       {"report", {}},
@@ -975,9 +976,10 @@ int main(int argc, char** argv) {
                "serve/route: arm a deterministic fault-injection plan "
                "(chaos testing; syntax [seed=N;]point:action[=arg]:trigger, "
                "see src/common/fault.hpp)");
-  cli.add_flag("breaker-failures", "0",
-               "route: consecutive forward/probe failures that trip a "
-               "shard's circuit breaker open (0 = breaker disabled)");
+  cli.add_flag("readmit-after-ms", "0",
+               "route: cooldown after a shard dies; successes inside it are "
+               "ignored and the first one after it re-admits the shard "
+               "(0 = re-admit on the first success)");
   try {
     if (!cli.parse(argc - 1, argv + 1)) return 0;
     if (!cli.positional().empty()) {

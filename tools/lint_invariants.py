@@ -57,10 +57,18 @@ Rules (see --list-rules):
                        else uses common::Half / common::round_to_half, so
                        rounding mode and NaN/Inf handling stay in one
                        reviewed place.
+  orphan-header        Every header under src/ must be included by some file
+                       under src/, tools/, bench/, examples/ or perfbench/
+                       other than itself and its own .cpp. A header only
+                       tests/ includes is code no program runs: delete it,
+                       or waive it on its first line with a reason.
 
 A finding can be waived for one line with a trailing comment:
 
     std::mutex legacy_;  // lint-invariants: allow(raw-concurrency)
+
+Only src/ is linted. The other includer directories are read as context,
+as registry.cpp is for backend-registration.
 
 Exit status: 0 when clean, 1 when any finding is reported, 2 on usage error.
 """
@@ -68,6 +76,7 @@ Exit status: 0 when clean, 1 when any finding is reported, 2 on usage error.
 from __future__ import annotations
 
 import argparse
+import posixpath
 import re
 import sys
 from collections.abc import Callable, Iterable
@@ -104,6 +113,10 @@ HALF_CONFINEMENT_EXEMPT_FILES = (
 
 # The single sanctioned construction site for engine backends.
 REGISTRY_SOURCE = "src/engine/registry.cpp"
+
+# Directories whose files count as includers for orphan-header. tests/ is
+# deliberately absent: a header only its own unit test includes is dead.
+INCLUDER_DIRS = ("src", "tools", "bench", "examples", "perfbench")
 
 CPP_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 
@@ -215,6 +228,9 @@ HALF_BITS_RE = re.compile(
     r"(float_to_half_bits|half_bits_to_float)\s*\("
 )
 
+# A quoted include; angle-bracket includes name system headers.
+INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.MULTILINE)
+
 WAIVER_RE = re.compile(r"//\s*lint-invariants:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
 BACKEND_SUBCLASS_RE = re.compile(
@@ -240,6 +256,7 @@ class SourceFile(NamedTuple):
     text: str  # raw contents
     scrubbed: str  # comments/strings blanked, newlines preserved
     waivers: dict[int, set[str]]  # line -> waived rule ids
+    includes: frozenset[str]  # quoted includes, as candidate rel paths
 
 
 def scrub_cpp(text: str) -> str:
@@ -313,14 +330,31 @@ def line_of(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
 
 
+def collect_includes(rel: str, text: str, scrubbed: str) -> frozenset[str]:
+    """Each quoted include as the rel paths it may name: relative to the
+    including file, and relative to src/ (the project include root).
+    Includes inside comments are skipped (their '#' is scrubbed)."""
+    found: set[str] = set()
+    for m in INCLUDE_RE.finditer(text):
+        if "#" not in scrubbed[m.start() : m.start(1)]:
+            continue
+        name = m.group(1)
+        found.add(posixpath.normpath(posixpath.join(posixpath.dirname(rel), name)))
+        found.add(posixpath.normpath(posixpath.join("src", name)))
+    return frozenset(found)
+
+
 def load_source(root: Path, path: Path) -> SourceFile:
     text = path.read_text(encoding="utf-8", errors="replace")
+    rel = path.relative_to(root).as_posix()
+    scrubbed = scrub_cpp(text)
     return SourceFile(
         path=path,
-        rel=path.relative_to(root).as_posix(),
+        rel=rel,
         text=text,
-        scrubbed=scrub_cpp(text),
+        scrubbed=scrubbed,
         waivers=collect_waivers(text),
+        includes=collect_includes(rel, text, scrubbed),
     )
 
 
@@ -596,6 +630,35 @@ def check_mutex_guard_coverage(
 
 
 # --------------------------------------------------------------------------
+# Rule: orphan-header
+# --------------------------------------------------------------------------
+
+
+def check_orphan_header(
+    src: SourceFile, all_sources: list[SourceFile]
+) -> list[Finding]:
+    if not src.rel.startswith("src/") or src.path.suffix not in (".hpp", ".h"):
+        return []
+    own = {src.rel, posixpath.splitext(src.rel)[0] + ".cpp"}
+    if any(
+        src.rel in other.includes
+        for other in all_sources
+        if other.rel not in own and in_dirs(other.rel, INCLUDER_DIRS)
+    ):
+        return []
+    dirs = "/, ".join(INCLUDER_DIRS)
+    return [
+        Finding(
+            src.path,
+            1,
+            "orphan-header",
+            f"no file under {dirs}/ includes this header (tests/ does not "
+            "count); delete it, or waive it on line 1 with a reason",
+        )
+    ]
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -634,12 +697,16 @@ RULES: dict[str, tuple[str, RuleFn]] = {
         "common::Mutex header member with no thread-safety annotation",
         check_mutex_guard_coverage,
     ),
+    "orphan-header": (
+        "src/ header no src/, tools/, bench/, examples/ or perfbench/ file includes",
+        check_orphan_header,
+    ),
 }
 
 
-def discover(root: Path) -> list[Path]:
+def discover(root: Path, tops: Iterable[str] = ("src",)) -> list[Path]:
     files = []
-    for top in ("src",):
+    for top in tops:
         base = root / top
         if base.is_dir():
             files.extend(
@@ -650,17 +717,16 @@ def discover(root: Path) -> list[Path]:
 
 def lint(root: Path, paths: list[Path]) -> list[Finding]:
     sources = [load_source(root, p) for p in paths]
-    # backend-registration needs registry.cpp context even when linting a
-    # subset of files.
-    if not any(s.rel == REGISTRY_SOURCE for s in sources):
-        registry_path = root / REGISTRY_SOURCE
-        if registry_path.is_file():
-            sources.append(load_source(root, registry_path))
-            context_only = {sources[-1].rel}
-        else:
-            context_only = set()
-    else:
-        context_only = set()
+    # backend-registration needs registry.cpp and orphan-header every
+    # includer as context, even when linting a subset of files.
+    linted = {s.path.resolve() for s in sources}
+    context = [
+        load_source(root, p)
+        for p in discover(root, INCLUDER_DIRS)
+        if p.resolve() not in linted
+    ]
+    context_only = {s.rel for s in context}
+    sources.extend(context)
 
     findings: list[Finding] = []
     for src in sources:

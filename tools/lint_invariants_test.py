@@ -37,12 +37,15 @@ class FakeTree:
         self._tmp.cleanup()
 
 
-def run(files: dict[str, str]) -> list[li.Finding]:
+def run(files: dict[str, str], orphans: bool = False) -> list[li.Finding]:
+    """Lints a throwaway tree. Its headers are mostly included by nothing,
+    so orphan-header findings are dropped unless `orphans` asks for them."""
     tree = FakeTree(files)
     try:
-        return tree.lint()
+        findings = tree.lint()
     finally:
         tree.cleanup()
+    return [f for f in findings if orphans or f.rule != "orphan-header"]
 
 
 def rules_of(findings: list[li.Finding]) -> list[str]:
@@ -573,6 +576,26 @@ class MutexGuardCoverageTest(unittest.TestCase):
         self.assertIn("b_", findings[0].message)
 
 
+class OrphanHeaderTest(unittest.TestCase):
+    def test_header_included_only_from_tests_caught(self) -> None:
+        files = {
+            "src/scene/filters.hpp": "#pragma once\nint prune();\n",
+            "src/scene/filters.cpp": '#include "scene/filters.hpp"\n',
+            "tests/device_test.cpp": '#include "scene/filters.hpp"\n',
+        }
+        findings = run(files, orphans=True)
+        self.assertEqual(rules_of(findings), ["orphan-header"])
+        self.assertEqual(findings[0].path.name, "filters.hpp")
+        self.assertEqual(findings[0].line, 1)
+
+    def test_header_included_from_tools_clean(self) -> None:
+        files = {
+            "src/common/cli.hpp": "#pragma once\nint parse();\n",
+            "tools/gaurast_cli.cpp": '#include "common/cli.hpp"\n',
+        }
+        self.assertEqual(run(files, orphans=True), [])
+
+
 class DriverTest(unittest.TestCase):
     def test_list_rules_exits_zero(self) -> None:
         self.assertEqual(li.main(["--list-rules"]), 0)
@@ -597,7 +620,9 @@ class DriverTest(unittest.TestCase):
         )
         try:
             findings = li.lint(tree.root, [tree.root / "src/accel/orphan.hpp"])
-            self.assertEqual(rules_of(findings), ["backend-registration"])
+            self.assertEqual(
+                rules_of(findings), ["backend-registration", "orphan-header"]
+            )
         finally:
             tree.cleanup()
 
