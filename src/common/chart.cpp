@@ -38,11 +38,4 @@ void BarChart::print(std::ostream& os, int width) const {
   }
 }
 
-void BarChart::print_dat(std::ostream& os) const {
-  os << "# " << title_ << (unit_.empty() ? "" : " (" + unit_ + ")") << '\n';
-  for (const ChartBar& b : bars_) {
-    os << b.label << ' ' << b.value << '\n';
-  }
-}
-
 }  // namespace gaurast

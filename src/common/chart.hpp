@@ -1,9 +1,9 @@
-// ASCII bar charts for the figure-reproducing benches.
+// ASCII bar charts for the paper-reproduction report.
 //
 // The paper's evaluation artifacts are mostly bar charts (Figs. 4, 10, 11);
-// rendering the same series as text bars next to the tables makes a bench
-// run visually comparable to the paper page without any plotting
-// dependency. Also emits gnuplot-ready .dat blocks for external plotting.
+// rendering the same series as text bars next to the tables makes
+// `gaurast_cli report` visually comparable to the paper page without any
+// plotting dependency.
 #pragma once
 
 #include <iosfwd>
@@ -27,9 +27,6 @@ class BarChart {
 
   /// Renders horizontal bars scaled to `width` characters.
   void print(std::ostream& os, int width = 48) const;
-
-  /// Emits a two-column gnuplot .dat block (label value).
-  void print_dat(std::ostream& os) const;
 
   std::size_t size() const { return bars_.size(); }
 

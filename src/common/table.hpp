@@ -1,8 +1,8 @@
 // Aligned text tables and CSV output for benchmark harnesses.
 //
-// Every bench binary regenerating a paper table/figure prints through
-// TablePrinter so the rows/series mirror the paper's presentation and can be
-// diffed run-to-run.
+// `gaurast_cli report` prints every paper table/figure through TablePrinter
+// so the rows/series mirror the paper's presentation and can be diffed
+// run-to-run.
 #pragma once
 
 #include <iosfwd>
@@ -48,7 +48,7 @@ std::string format_energy_mj(double mj);
 /// Formats a percentage like "80.3%".
 std::string format_percent(double fraction, int digits = 1);
 
-/// Prints a section banner used between experiments in a bench binary.
+/// Prints a section banner used between report sections and experiments.
 void print_banner(std::ostream& os, const std::string& title);
 
 }  // namespace gaurast

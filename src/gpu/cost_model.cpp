@@ -37,20 +37,6 @@ double CudaCostModel::raster_ms(const scene::SceneProfile& profile) const {
   return 1000.0 * fma / (config_.fma_rate_gfma * 1e9);
 }
 
-CudaCostModel::RasterKernelBreakdown CudaCostModel::raster_breakdown(
-    const scene::SceneProfile& profile) const {
-  RasterKernelBreakdown b;
-  b.compute_ms = raster_ms(profile);
-  // DRAM side: every sorted instance is fetched once per tile (36 B of
-  // splat parameters; intra-tile reuse happens in shared memory), plus one
-  // framebuffer write per pixel (16 B RGBA-float).
-  const double bytes =
-      static_cast<double>(profile.tile_instances()) * 36.0 +
-      static_cast<double>(profile.pixel_count()) * 16.0;
-  b.memory_ms = 1000.0 * bytes / (config_.effective_bw_gbps() * 1e9);
-  return b;
-}
-
 StageTimes CudaCostModel::frame_times(const scene::SceneProfile& profile) const {
   StageTimes t;
   t.preprocess_ms = preprocess_ms(profile);

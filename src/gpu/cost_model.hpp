@@ -51,18 +51,6 @@ class CudaCostModel {
   /// Step 3: calibrated pair cost over the sustained FMA rate.
   double raster_ms(const scene::SceneProfile& profile) const;
 
-  /// Compute-vs-memory decomposition of the Step-3 kernel: arithmetic time
-  /// at the calibrated pair cost vs DRAM time for streaming the sorted
-  /// splat instances and writing the framebuffer. Shows the kernel is
-  /// compute/divergence-bound on this class of SoC, which is why a pair-rate
-  /// accelerator (GauRast) pays off.
-  struct RasterKernelBreakdown {
-    double compute_ms = 0.0;
-    double memory_ms = 0.0;
-    bool compute_bound() const { return compute_ms >= memory_ms; }
-  };
-  RasterKernelBreakdown raster_breakdown(const scene::SceneProfile& profile) const;
-
   StageTimes frame_times(const scene::SceneProfile& profile) const;
 
   /// Energy attributed to Step 3 (mJ): raster time x active GPU power.

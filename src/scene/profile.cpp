@@ -10,7 +10,8 @@ namespace gaurast::scene {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Calibration (see DESIGN.md Sec. 6 and EXPERIMENTS.md).
+// Calibration (paper-vs-reproduced values: the Table III and Fig. 4
+// sections of `gaurast_cli report`).
 //
 // Resolutions: the 3DGS evaluation renders NeRF-360 outdoor scenes at 4x
 // downsample (~1237x822) and indoor scenes at 2x (~1557x1038); we use those.

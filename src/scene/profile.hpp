@@ -12,7 +12,8 @@
 // the SAME profile then drives the GauRast cycle simulator, whose runtime,
 // speedup, energy and FPS numbers are genuine model outputs. The calibration
 // rationale for each constant is documented next to it in profile.cpp, and
-// EXPERIMENTS.md records paper-vs-reproduced values.
+// the Table III section of `gaurast_cli report` prints paper-vs-reproduced
+// values.
 #pragma once
 
 #include <cstdint>

@@ -257,6 +257,15 @@ expect_contains "$ERR" "--workers is not used by 'render'" "foreign flag rejecte
 expect_clean "$ERR" "foreign flag diagnostic"
 run 1 serve --variant mini || true
 expect_contains "$ERR" "--variant is not used by 'serve'" "serve foreign flag rejected"
+# report takes no flags; its output is pinned by the report_golden ctest.
+run 1 report --width 5 || true
+expect_contains "$ERR" "--width is not used by 'report'" "report foreign flag rejected"
+expect_clean "$ERR" "report foreign flag diagnostic"
+if [[ $(printf '%s\n' "$ERR" | wc -l) -ne 1 ]]; then
+  echo "FAIL: report --width diagnostic is not one line:" >&2
+  echo "$ERR" >&2
+  FAILURES=$((FAILURES + 1))
+fi
 
 # 14. serve flag validation: bad backend/arrival/workers fail with clean
 # one-line diagnostics.

@@ -473,15 +473,6 @@ TEST(BarChart, RendersScaledBars) {
   EXPECT_NE(out.find(std::string(10, '#')), std::string::npos);
 }
 
-TEST(BarChart, DatBlockIsPlottable) {
-  BarChart chart("series");
-  chart.add_bar("x", 1.5);
-  std::ostringstream os;
-  chart.print_dat(os);
-  EXPECT_NE(os.str().find("x 1.5"), std::string::npos);
-  EXPECT_EQ(os.str().rfind("# series", 0), 0u);
-}
-
 TEST(BarChart, RejectsNegativeValues) {
   BarChart chart("bad");
   EXPECT_THROW(chart.add_bar("neg", -1.0), Error);

@@ -1,5 +1,4 @@
-// Tests for the GauRastDevice public API, texture sampling and the GPU
-// raster kernel breakdown.
+// Tests for the GauRastDevice public API and texture sampling.
 
 #include <gtest/gtest.h>
 
@@ -138,26 +137,6 @@ TEST(Texture, TexturedRenderDiffersFromFlatAndCoversSamePixels) {
   for (std::size_t i = 0; i < flat.depth.size(); i += 97) {
     EXPECT_EQ(textured.depth[i], flat.depth[i]);
   }
-}
-
-// ------------------------------------------------- Kernel breakdown -----
-
-TEST(RasterBreakdown, ComputeBoundOnAllProfiles) {
-  const gpu::CudaCostModel model(gpu::orin_nx_10w());
-  for (const auto& p : scene::nerf360_profiles()) {
-    const auto b = model.raster_breakdown(p);
-    EXPECT_TRUE(b.compute_bound()) << p.name;
-    EXPECT_GT(b.memory_ms, 0.0);
-    EXPECT_NEAR(b.compute_ms, model.raster_ms(p), 1e-12);
-  }
-}
-
-TEST(RasterBreakdown, MemoryTermScalesWithInstances) {
-  const gpu::CudaCostModel model(gpu::orin_nx_10w());
-  scene::SceneProfile p = scene::profile_by_name("garden");
-  const double base = model.raster_breakdown(p).memory_ms;
-  p.tile_instances_per_gaussian *= 3.0;
-  EXPECT_GT(model.raster_breakdown(p).memory_ms, base * 2.0);
 }
 
 }  // namespace

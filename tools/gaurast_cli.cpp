@@ -40,7 +40,8 @@
 // merged gaurast-fleet-stats/v2 reporting; --spawn forks and supervises N
 // local workers instead of joining pre-started --shard ones. `backends`
 // lists the engine registry — every --backend value, its capabilities and
-// operating point. `report` prints the headline paper-reproduction summary.
+// operating point. `report` prints every paper table and figure with the
+// paper's published value beside each modeled one (tools/report.cpp).
 //
 // Backend names, help text and flag validation all come from the engine
 // registry (engine/registry.hpp); registering a new operating point there
@@ -83,6 +84,8 @@
 #include "scene/generator.hpp"
 #include "scene/ply_io.hpp"
 #include "scene/store.hpp"
+
+#include "report.hpp"
 
 namespace {
 
@@ -794,32 +797,6 @@ int cmd_serve(const CliParser& cli) {
   return 0;
 }
 
-int cmd_report() {
-  const gpu::CudaCostModel cuda(gpu::orin_nx_10w());
-  const core::ProfileSimulator sim(core::RasterizerConfig::scaled300());
-  print_banner(std::cout, "GauRast headline reproduction summary");
-  TablePrinter table({"Scene", "Raster speedup", "E2E FPS (GauRast)",
-                      "E2E speedup"});
-  double speedup_sum = 0, fps_sum = 0, e2e_sum = 0;
-  for (const auto& p : scene::nerf360_profiles()) {
-    const core::ProfileSimResult r = sim.simulate(p);
-    const core::EndToEndResult e2e =
-        core::schedule_frame(cuda.frame_times(p), r.runtime_ms());
-    speedup_sum += e2e.raster_speedup();
-    fps_sum += e2e.pipelined_fps();
-    e2e_sum += e2e.end_to_end_speedup();
-    table.add_row({p.name, format_ratio(e2e.raster_speedup()),
-                   format_fixed(e2e.pipelined_fps(), 1),
-                   format_ratio(e2e.end_to_end_speedup())});
-  }
-  table.print(std::cout);
-  std::cout << "Averages: raster " << format_ratio(speedup_sum / 7.0)
-            << " (paper ~23x), " << format_fixed(fps_sum / 7.0, 1)
-            << " FPS (paper ~24), end-to-end " << format_ratio(e2e_sum / 7.0)
-            << " (paper ~6x)\n";
-  return 0;
-}
-
 constexpr std::array<std::string_view, 8> kCommands = {
     "render", "simulate", "replay", "serve",
     "request", "route",    "backends", "report"};
@@ -884,7 +861,8 @@ void print_top_usage(std::ostream& os) {
         "failover\n"
         "  backends  list the registered engine backends and their "
         "capabilities\n"
-        "  report    print the headline paper-reproduction summary\n";
+        "  report    print every paper table and figure beside the paper's "
+        "values\n";
 }
 
 }  // namespace
@@ -994,7 +972,10 @@ int main(int argc, char** argv) {
     if (command == "request") return cmd_request(cli);
     if (command == "route") return cmd_route(cli);
     if (command == "backends") return cmd_backends(cli);
-    if (command == "report") return cmd_report();
+    if (command == "report") {
+      report::print_report(std::cout);
+      return 0;
+    }
     // Unreachable while kCommands and the chain above stay in sync.
     std::cerr << "gaurast_cli: unhandled command '" << command << "'\n";
     return 1;
