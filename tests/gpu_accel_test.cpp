@@ -97,6 +97,20 @@ TEST(CudaCostModel, PreprocessRooflineBranches) {
   EXPECT_LT(model.preprocess_ms(p), deg3);
 }
 
+TEST(CudaCostModel, PreprocessComputeTermWinsAtLowFmaRate) {
+  // Step 1 is memory-bound in every NeRF-360 profile, so only a slow FMA
+  // rate exposes the ~600 FMA per Gaussian of projection and SH.
+  gpu::GpuConfig cfg = gpu::orin_nx_10w();
+  cfg.fma_rate_gfma = 1.0;
+  const gpu::CudaCostModel model(cfg);
+  const auto p = scene::profile_by_name("room");
+  const double compute_ms =
+      1000.0 * static_cast<double>(p.gaussian_count) * 600.0 / 1e9;
+  EXPECT_NEAR(model.preprocess_ms(p), compute_ms, compute_ms * 1e-9);
+  cfg.mem_bw_gbps *= 4.0;  // compute-bound: more bandwidth changes nothing
+  EXPECT_EQ(gpu::CudaCostModel(cfg).preprocess_ms(p), model.preprocess_ms(p));
+}
+
 TEST(CudaCostModel, SortScalesWithInstances) {
   const gpu::CudaCostModel model(gpu::orin_nx_10w());
   scene::SceneProfile p = scene::profile_by_name("room");

@@ -406,6 +406,56 @@ TEST(Server, RenderMatchesDirectSubmitBitIdentical) {
   });
 }
 
+TEST(Server, ConcurrentClientsWithoutDeadlinesAllServedOk) {
+  // Closed-loop clients sharing one server, each on its own connection:
+  // every request without a deadline comes back OK, under its own id, with
+  // the frame a direct submit renders.
+  constexpr int kClients = 4;
+  constexpr int kRequestsPerClient = 4;
+  runtime::ServiceConfig config;
+  config.workers = 2;
+  config.backend = "sw";
+  with_server(config, {}, [](runtime::RenderService& service, Server& server) {
+    const auto make_wire = [](int client, int i) {
+      RenderRequest wire = default_render_request(
+          600, static_cast<std::uint64_t>(client % 2), 64, 48);
+      wire.eye[0] += 0.25f * static_cast<float>(i);
+      wire.request_id = static_cast<std::uint64_t>(client * 100 + i);
+      wire.flags = kWantImage;
+      return wire;
+    };
+    std::vector<std::vector<RenderResponse>> responses(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        Client client("127.0.0.1", server.port());
+        for (int i = 0; i < kRequestsPerClient; ++i) {
+          responses[c].push_back(client.render(make_wire(c, i)));
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+
+    for (int c = 0; c < kClients; ++c) {
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        const RenderRequest wire = make_wire(c, i);
+        const RenderResponse& resp = responses[c][i];
+        ASSERT_EQ(resp.status, RenderStatus::kOk) << resp.message;
+        EXPECT_EQ(resp.request_id, wire.request_id);
+        const Image direct =
+            service.submit({service.scene(wire.scene), wire.camera()})
+                .get()
+                .frame.image;
+        ASSERT_EQ(resp.pixels.size(), direct.pixel_count() * 3);
+        EXPECT_EQ(std::memcmp(resp.pixels.data(), direct.pixels().data(),
+                              resp.pixels.size() * sizeof(float)),
+                  0)
+            << "client " << c << " request " << i;
+      }
+    }
+  });
+}
+
 TEST(Server, FullQueueYieldsOverloadedResponse) {
   std::promise<void> gate;
   const auto gated =

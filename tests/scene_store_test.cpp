@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -443,6 +444,38 @@ TEST(RenderService, BudgetedFramesBitIdenticalToUnbounded) {
     EXPECT_TRUE(images_identical(baseline[i], squeezed[i]))
         << "frame " << i << " diverged under the byte budget";
   }
+}
+
+TEST(RenderService, DrainRefitsBudgetOvershotByPinnedScenes) {
+  // Frames in flight pin their scenes, so two of them under a one-scene
+  // budget hold residency over it; once they finish, drain() must leave an
+  // idle service within its budget.
+  runtime::ServiceConfig config;
+  config.workers = 2;
+  config.backend = "sw";
+  config.scene_source = std::make_shared<const FunctionSource>(
+      [](const std::string& key) {
+        return small_scene(300, key == "a" ? 1 : 2);
+      });
+  config.scene_budget_bytes = one_scene_bytes(300);
+  runtime::RenderService service(config);
+  const scene::Camera camera(64, 48, 0.9f, Vec3f{0.0f, 2.0f, 9.0f},
+                             Vec3f{0.0f, 0.0f, 0.0f});
+  std::vector<std::future<runtime::JobResult>> frames;
+  {
+    runtime::ScenePtr a = service.scene("a");
+    runtime::ScenePtr b = service.scene("b");
+    EXPECT_GT(service.stats().scene_resident_bytes, config.scene_budget_bytes);
+    frames.push_back(service.submit({std::move(a), camera}));
+    frames.push_back(service.submit({std::move(b), camera}));
+  }
+  for (auto& frame : frames) frame.get();
+  service.drain();
+
+  const runtime::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_LE(stats.scene_resident_bytes, config.scene_budget_bytes);
+  EXPECT_EQ(stats.scene_resident_count, 1u);
 }
 
 TEST(RenderService, ReloadedSceneRendersFreshContent) {

@@ -18,25 +18,26 @@ import sys
 import tempfile
 import unittest
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import bench_compare as bc  # noqa: E402
 
 
-def mode(name: str, fps: float, shards: int) -> dict:
+def mode(workers: int, fps: float) -> dict:
     return {
-        "mode": name,
+        "workers": workers,
         "throughput_mean_fps": fps,
         "latency_p99_ms": 100.0 / fps,
-        "stats": [{"completed": 16, "latency_p99_ms": 40.0}] * shards,
+        "stats": {"completed": 16, "latency_p99_ms": 40.0},
     }
 
 
 def report(fps: float = 30.0, workers: tuple[int, ...] = (1, 2, 4)) -> dict:
-    """A v8 report with a micro section and two service sections."""
+    """A v9 report: a micro section and the service worker sweep."""
     return {
-        "schema": "gaurast-bench-pipeline/v8",
+        "schema": "gaurast-bench-pipeline/v9",
         "quick": False,
         "micro": {
             "schema": "gaurast-bench-micro/v1",
@@ -47,17 +48,9 @@ def report(fps: float = 30.0, workers: tuple[int, ...] = (1, 2, 4)) -> dict:
             "derived": {"raster_fast_speedup": 10.0},
         },
         "service": {
-            "schema": "gaurast-bench-service/v2",
-            "modes": [mode(f"w{w}", fps * w, 1) for w in workers],
+            "schema": "gaurast-bench-service/v3",
+            "modes": [mode(w, fps * w) for w in workers],
             "derived": {"sweep_speedup": float(workers[-1])},
-        },
-        "fleet": {
-            "schema": "gaurast-bench-service-fleet/v2",
-            "modes": [mode("direct", fps, 2), mode("routed", fps, 2)],
-            "derived": {
-                "routed_relative_throughput": 1.0,
-                "route_overhead_mean_ms": 5.0,
-            },
         },
     }
 
@@ -72,46 +65,49 @@ class BenchCompareTest(unittest.TestCase):
 
     def test_renamed_mode_key_under_same_tag_fails(self) -> None:
         current = report()
-        for record in current["fleet"]["modes"]:
+        for record in current["service"]["modes"]:
             record["latency_tail_ms"] = record.pop("latency_p99_ms")
         errors = bc.check_shape(report(), current)
         self.assertEqual(len(errors), 1, errors)
-        self.assertIn("section 'fleet' changed layout", errors[0])
+        self.assertIn("section 'service' changed layout", errors[0])
         self.assertIn("-modes[].latency_p99_ms", errors[0])
         self.assertIn("+modes[].latency_tail_ms", errors[0])
 
     def test_renamed_key_with_tag_bump_is_schema_drift_not_layout(self) -> None:
+        # The PR that bumps a tag registers the new one; until the baseline
+        # is re-recorded the pair differs in tag, not in layout.
         current = report()
-        current["fleet"]["schema"] = "gaurast-bench-service-fleet/v1"
-        current["fleet"]["modes"][0]["extra"] = 1
-        errors = bc.check_shape(report(), current)
+        current["service"]["schema"] = "gaurast-bench-service/v4"
+        current["service"]["modes"][0]["extra"] = 1
+        known = {"service": {"gaurast-bench-service/v3", "gaurast-bench-service/v4"}}
+        with mock.patch.dict(bc.KNOWN_SCHEMAS, known):
+            errors = bc.check_shape(report(), current)
         self.assertEqual(len(errors), 1, errors)
         self.assertIn("schema drift", errors[0])
 
     def test_dropped_derived_key_fails(self) -> None:
         current = report()
-        del current["fleet"]["derived"]["routed_relative_throughput"]
+        del current["service"]["derived"]["sweep_speedup"]
         errors = bc.check_shape(report(), current)
         self.assertEqual(len(errors), 1, errors)
-        self.assertIn("section 'fleet' changed layout", errors[0])
-        self.assertIn("-derived.routed_relative_throughput", errors[0])
+        self.assertIn("section 'service' changed layout", errors[0])
+        self.assertIn("-derived.sweep_speedup", errors[0])
 
     def test_unknown_tag_fails(self) -> None:
         baseline = report()
         current = copy.deepcopy(baseline)
-        current["service"]["schema"] = "gaurast-bench-service/v9"
+        current["service"]["schema"] = "gaurast-bench-service/v2"
         errors = bc.check_shape(baseline, current)
         self.assertTrue(
             any("current: unknown service schema" in e for e in errors), errors
         )
 
     def test_ratio_at_or_above_its_floor_passes(self) -> None:
-        current = report()
-        floor = dict(((s, k), f) for s, k, f in bc.FLOORS)
-        current["micro"]["derived"]["raster_fast_speedup"] = floor[
-            ("micro", "raster_fast_speedup")
-        ]
-        self.assertEqual(bc.check_floors(current), [])
+        for section, key, floor in bc.FLOORS:
+            with self.subTest(f"{section}.{key}"):
+                current = report()
+                current[section]["derived"][key] = floor
+                self.assertEqual(bc.check_floors(current), [])
 
     def test_ratio_below_its_floor_fails(self) -> None:
         # A 2x slower fast kernel halves its speedup over the reference.
@@ -120,6 +116,15 @@ class BenchCompareTest(unittest.TestCase):
         errors = bc.check_floors(current)
         self.assertEqual(len(errors), 1, errors)
         self.assertIn("micro.raster_fast_speedup = 5.000", errors[0])
+        self.assertIn("below its floor", errors[0])
+
+    def test_serialized_sweep_below_its_floor_fails(self) -> None:
+        # Workers that render one at a time gain nothing from more of them.
+        current = report()
+        current["service"]["derived"]["sweep_speedup"] = 1.0
+        errors = bc.check_floors(current)
+        self.assertEqual(len(errors), 1, errors)
+        self.assertIn("service.sweep_speedup = 1.000", errors[0])
         self.assertIn("below its floor", errors[0])
 
     def test_key_paths_merge_array_elements(self) -> None:
@@ -138,7 +143,7 @@ class BenchCompareTest(unittest.TestCase):
             slow = Path(tmp) / "slow.json"
             # One new key in one array element is a new merged key path.
             broken = report()
-            broken["fleet"]["modes"][1]["stats"][0] = {"queue_ms": 1.0}
+            broken["service"]["modes"][1]["stats"] = {"queue_ms": 1.0}
             bad.write_text(json.dumps(broken), encoding="utf-8")
             halved = report()
             halved["micro"]["derived"]["raster_fast_speedup"] = 5.0
