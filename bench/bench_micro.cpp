@@ -1,14 +1,17 @@
 // bench_micro — microbenchmarks of the substrate implementations: PE
 // datapath throughput, software rasterization (reference vs fast kernel),
-// Step-2 sorting (serial vs parallel binning), preprocessing, the hardware
-// functional model, the triangle reference path, the detailed cycle
-// simulator and a scene-store miss (generate, quantize, dequantize). These
-// gauge the *simulator's* host-side performance, not modeled hardware
-// numbers.
+// Step-2 tile binning (`sort_serial` on 1 thread, `sort_parallel` on
+// --threads), preprocessing, the hardware functional model, the triangle
+// reference path, the detailed cycle simulator and a scene-store miss
+// (generate, quantize, dequantize). These gauge the *simulator's* host-side
+// performance, not modeled hardware numbers.
 //
 // Self-contained harness (no third-party benchmark dependency): every
-// benchmark runs `--warmup` unmeasured iterations followed by `--repeat`
-// measured ones and reports mean/median/min/max/stddev wall milliseconds.
+// selected benchmark first runs `--warmup` unmeasured iterations, then the
+// `--repeat` measured iterations go round-robin over the benchmarks, so a
+// noisy stretch of the host lands on both sides of each derived ratio
+// alike. Each benchmark reports mean/median/min/max/stddev wall
+// milliseconds.
 // `--json` emits the machine-readable gaurast-bench-micro/v1 schema the
 // tools/bench_pipeline.sh runner aggregates into BENCH_pipeline.json:
 //
@@ -65,21 +68,34 @@ struct BenchResult {
   double stddev_ms = 0.0;
 };
 
-BenchResult measure(const std::string& name, int warmup, int repeat,
-                    const std::function<void()>& fn) {
-  for (int i = 0; i < warmup; ++i) fn();
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(repeat));
-  for (int i = 0; i < repeat; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    samples.push_back(std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count());
+struct Benchmark {
+  std::string name;
+  std::function<void()> fn;
+  std::vector<double> samples;  ///< measured wall ms, one per repeat
+};
+
+/// Warms every benchmark, then times `repeat` rounds that each run every
+/// benchmark once, in registration order.
+void measure_round_robin(std::vector<Benchmark>& benches, int warmup,
+                         int repeat) {
+  for (Benchmark& b : benches) {
+    for (int i = 0; i < warmup; ++i) b.fn();
   }
+  for (int i = 0; i < repeat; ++i) {
+    for (Benchmark& b : benches) {
+      const auto t0 = std::chrono::steady_clock::now();
+      b.fn();
+      b.samples.push_back(std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+    }
+  }
+}
+
+BenchResult summarize(const std::string& name, std::vector<double> samples) {
   BenchResult r;
   r.name = name;
-  r.repeats = repeat;
+  r.repeats = static_cast<int>(samples.size());
   double sum = 0.0;
   r.min_ms = samples.front();
   r.max_ms = samples.front();
@@ -144,11 +160,11 @@ int main(int argc, char** argv) {
     grid.width = camera.width();
     grid.height = camera.height();
 
-    std::vector<BenchResult> results;
+    std::vector<Benchmark> benches;
     const auto bench = [&](const std::string& name,
                            const std::function<void()>& fn) {
       if (!filter.empty() && name.find(filter) == std::string::npos) return;
-      results.push_back(measure(name, warmup, repeat, fn));
+      benches.push_back(Benchmark{name, fn, {}});
     };
 
     bench("pe_gaussian_pair", [&] {
@@ -183,7 +199,8 @@ int main(int argc, char** argv) {
     });
 
     // The raster kernel pair the recorded trajectory tracks: both run with
-    // stats off (the serving configuration) on a single thread.
+    // stats off on a single thread (serving renders with stats on; the
+    // *_stats points time that).
     bench("raster_reference", [&] {
       auto img = pipeline::rasterize(frame.splats, frame.workload, blend,
                                      nullptr, 1,
@@ -251,6 +268,12 @@ int main(int argc, char** argv) {
       auto working = scene::dequantize(source.resolve_quantized(scene_key, 0));
       (void)working;
     });
+
+    measure_round_robin(benches, warmup, repeat);
+    std::vector<BenchResult> results;
+    for (Benchmark& b : benches) {
+      results.push_back(summarize(b.name, std::move(b.samples)));
+    }
 
     const auto median_of = [&](const std::string& name) -> double {
       for (const BenchResult& r : results) {

@@ -1,6 +1,7 @@
 #include "cluster/fleet_stats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <numeric>
 #include <sstream>
@@ -10,6 +11,21 @@
 namespace gaurast::cluster {
 
 namespace {
+
+/// The shard counters the fleet document sums, in output order.
+constexpr std::array<const char*, 9> kSummedCounters = {
+    "submitted",        "completed",          "rejected",
+    "scene_cache_hits", "scene_cache_misses", "scene_evictions",
+    "scene_rejected",   "scene_resident_bytes", "scene_resident_count"};
+
+/// One shard counter as an exact integer; 0 when absent, negative or out of
+/// range, so a malformed shard document adds nothing.
+std::uint64_t extract_json_count(const std::string& json,
+                                 const std::string& key) {
+  const double value = extract_json_number(json, key).value_or(0.0);
+  return value >= 0.0 && value < 0x1p64 ? static_cast<std::uint64_t>(value)
+                                        : 0;
+}
 
 /// Emits mean/p50/p95/max for one sample set under `prefix`.
 void emit_latency_fields(std::ostringstream& os, const std::string& prefix,
@@ -43,43 +59,25 @@ std::string merge_fleet_stats(const std::vector<ShardStatsEntry>& shards,
                               const RouterStatsSnapshot& router) {
   // Summed totals: a shard whose stats fetch failed contributes nothing —
   // the merged totals are a floor, and its "stats":null entry says why.
-  double submitted = 0, completed = 0, rejected = 0;
-  double cache_hits = 0, cache_misses = 0;
-  double scene_evictions = 0, scene_rejected = 0;
-  double scene_resident_bytes = 0, scene_resident_count = 0;
+  // Integers, so a total past 1e6 prints every digit.
+  std::array<std::uint64_t, kSummedCounters.size()> totals{};
   std::size_t alive = 0;
   for (const ShardStatsEntry& entry : shards) {
     if (entry.shard.state != ShardState::kDead) ++alive;
     if (!entry.stats_json) continue;
-    const std::string& json = *entry.stats_json;
-    submitted += extract_json_number(json, "submitted").value_or(0.0);
-    completed += extract_json_number(json, "completed").value_or(0.0);
-    rejected += extract_json_number(json, "rejected").value_or(0.0);
-    cache_hits += extract_json_number(json, "scene_cache_hits").value_or(0.0);
-    cache_misses +=
-        extract_json_number(json, "scene_cache_misses").value_or(0.0);
-    scene_evictions +=
-        extract_json_number(json, "scene_evictions").value_or(0.0);
-    scene_rejected +=
-        extract_json_number(json, "scene_rejected").value_or(0.0);
-    scene_resident_bytes +=
-        extract_json_number(json, "scene_resident_bytes").value_or(0.0);
-    scene_resident_count +=
-        extract_json_number(json, "scene_resident_count").value_or(0.0);
+    for (std::size_t i = 0; i < totals.size(); ++i) {
+      totals[i] += extract_json_count(*entry.stats_json, kSummedCounters[i]);
+    }
   }
 
   std::ostringstream os;
   os << "{\"schema\":\"" << kFleetStatsSchema << "\""
      << ",\"shards_total\":" << shards.size() << ",\"shards_alive\":" << alive
-     << ",\"fleet\":{\"submitted\":" << submitted
-     << ",\"completed\":" << completed << ",\"rejected\":" << rejected
-     << ",\"scene_cache_hits\":" << cache_hits
-     << ",\"scene_cache_misses\":" << cache_misses
-     << ",\"scene_evictions\":" << scene_evictions
-     << ",\"scene_rejected\":" << scene_rejected
-     << ",\"scene_resident_bytes\":" << scene_resident_bytes
-     << ",\"scene_resident_count\":" << scene_resident_count << "}"
-     << ",\"router\":{\"routed_ok\":" << router.routed_ok
+     << ",\"fleet\":{";
+  for (std::size_t i = 0; i < totals.size(); ++i) {
+    os << (i ? "," : "") << "\"" << kSummedCounters[i] << "\":" << totals[i];
+  }
+  os << "},\"router\":{\"routed_ok\":" << router.routed_ok
      << ",\"overloaded\":" << router.overloaded
      << ",\"server_errors\":" << router.server_errors
      << ",\"shed\":" << router.shed << ",\"failovers\":" << router.failovers

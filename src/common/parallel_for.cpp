@@ -7,6 +7,10 @@ namespace gaurast::common {
 
 void parallel_for_workers(std::size_t workers,
                           const std::function<void(std::size_t)>& body) {
+  if (workers == 1) {
+    body(0);
+    return;
+  }
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (std::size_t worker = 0; worker < workers; ++worker) {

@@ -9,7 +9,7 @@
 
 #include <cstddef>
 
-#include "sim/kernel.hpp"
+#include "sim/cycle.hpp"
 
 namespace gaurast::core {
 

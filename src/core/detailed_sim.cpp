@@ -23,26 +23,24 @@ struct Buffer {
 
 /// The whole module as one clocked unit: a fetcher filling buffers through
 /// a serialized memory interface, and a PE block draining them in order.
-class DetailedModule final : public sim::ClockedModule {
+class DetailedModule {
  public:
   DetailedModule(const std::vector<TileLoad>& tiles,
                  const RasterizerConfig& config)
       : tiles_(tiles), config_(config) {}
 
-  void evaluate(sim::Cycle) override {
+  /// Advances one cycle: the fetcher, then the PE block.
+  void tick() {
     tick_fetch();
     tick_pe_block();
   }
 
-  void commit(sim::Cycle) override {}
-
-  bool idle() const override {
+  /// True once every tile has been filled and drained.
+  bool idle() const {
     return next_tile_to_fill_ >= tiles_.size() && !pe_active_ &&
            buffers_[0].state == BufferState::kFree &&
            buffers_[1].state == BufferState::kFree;
   }
-
-  std::string name() const override { return "gaurast.detailed_module"; }
 
   std::uint64_t pairs_retired() const { return pairs_retired_; }
   std::uint64_t fill_stalls() const { return fill_stalls_; }
@@ -147,9 +145,13 @@ DetailedSimResult run_detailed_module_sim(const std::vector<TileLoad>& tiles,
                                           sim::Cycle max_cycles) {
   config.validate();
   DetailedModule module(tiles, config);
-  sim::SimKernel kernel;
-  kernel.add_module(&module);
-  const sim::Cycle cycles = kernel.run(max_cycles);
+  sim::Cycle cycles = 0;
+  while (!module.idle()) {
+    GAURAST_CHECK_MSG(cycles < max_cycles, "simulation did not converge within "
+                                               << max_cycles << " cycles");
+    module.tick();
+    ++cycles;
+  }
 
   DetailedSimResult result;
   result.cycles = cycles;

@@ -10,7 +10,7 @@
 
 #include "core/config.hpp"
 #include "core/timeline.hpp"
-#include "sim/kernel.hpp"
+#include "sim/cycle.hpp"
 
 namespace gaurast::core {
 
@@ -21,8 +21,8 @@ struct DetailedSimResult {
   std::uint64_t fill_stall_cycles = 0;  ///< PE block idle waiting on fills
 };
 
-/// Runs one module over the tile sequence to completion. Throws if the
-/// simulation exceeds `max_cycles` (deadlock guard).
+/// Runs one module over the tile sequence to completion. Throws
+/// gaurast::Error if it is not done within `max_cycles` (deadlock guard).
 DetailedSimResult run_detailed_module_sim(const std::vector<TileLoad>& tiles,
                                           const RasterizerConfig& config,
                                           sim::Cycle max_cycles = 200000000);

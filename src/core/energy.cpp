@@ -74,20 +74,16 @@ EnergyBreakdown EnergyModel::from_pair_statistics(
     std::uint64_t pairs, double blended_fraction,
     std::uint64_t primitive_fetches, double runtime_ms) const {
   GAURAST_CHECK(blended_fraction >= 0.0 && blended_fraction <= 1.0);
-  // Ops per fully-blended pair from the PE datapath inventory (core/pe.hpp).
-  // Rejected pairs stop after the alpha threshold: 4 adds, 7 muls, 1 exp,
-  // ~2 cmps (this statistical model's own figure; the PE charges 3).
-  const GaussianPairOps& full = gaussian_pair_ops(GaussianOutcome::kBlended);
-  const double pj_full =
-      static_cast<double>(full.adds) * op_energy_pj(sim::ops::kFp32Add) +
-      static_cast<double>(full.muls) * op_energy_pj(sim::ops::kFp32Mul) +
-      static_cast<double>(full.exps) * op_energy_pj(sim::ops::kFp32Exp) +
-      static_cast<double>(full.cmps) * op_energy_pj(sim::ops::kFp32Cmp);
-  const double pj_reject =
-      4.0 * op_energy_pj(sim::ops::kFp32Add) +
-      7.0 * op_energy_pj(sim::ops::kFp32Mul) +
-      1.0 * op_energy_pj(sim::ops::kFp32Exp) +
-      2.0 * op_energy_pj(sim::ops::kFp32Cmp);
+  // Ops per pair from the PE datapath inventory (core/pe.hpp).
+  const auto pair_pj = [&](GaussianOutcome outcome) {
+    const GaussianPairOps& ops = gaussian_pair_ops(outcome);
+    return static_cast<double>(ops.adds) * op_energy_pj(sim::ops::kFp32Add) +
+           static_cast<double>(ops.muls) * op_energy_pj(sim::ops::kFp32Mul) +
+           static_cast<double>(ops.exps) * op_energy_pj(sim::ops::kFp32Exp) +
+           static_cast<double>(ops.cmps) * op_energy_pj(sim::ops::kFp32Cmp);
+  };
+  const double pj_full = pair_pj(GaussianOutcome::kBlended);
+  const double pj_reject = pair_pj(GaussianOutcome::kRejected);
 
   EnergyBreakdown e;
   const double n = static_cast<double>(pairs);

@@ -18,24 +18,6 @@ EndToEndResult schedule_frame(const gpu::StageTimes& cuda_times,
   return r;
 }
 
-double simulate_pipeline_ms(double stage12_ms, double stage3_ms, int frames) {
-  GAURAST_CHECK(frames > 0 && stage12_ms >= 0.0 && stage3_ms >= 0.0);
-  // Explicit two-resource pipeline: the CUDA cores run Steps 1-2 of frame
-  // i+1 while GauRast runs Step 3 of frame i.
-  double cuda_free = 0.0;
-  double gaurast_free = 0.0;
-  double last_done = 0.0;
-  for (int f = 0; f < frames; ++f) {
-    const double stage12_done = cuda_free + stage12_ms;
-    cuda_free = stage12_done;  // CUDA cores move on to the next frame
-    const double stage3_start = std::max(stage12_done, gaurast_free);
-    const double stage3_done = stage3_start + stage3_ms;
-    gaurast_free = stage3_done;
-    last_done = stage3_done;
-  }
-  return last_done;
-}
-
 double PipelineSeriesResult::mean_interval_ms() const {
   GAURAST_CHECK(!interval_ms.empty());
   double sum = 0.0;
@@ -59,6 +41,8 @@ PipelineSeriesResult simulate_pipeline_series(
   double gaurast_free = 0.0;
   for (const FrameWork& f : frames) {
     GAURAST_CHECK(f.stage12_ms >= 0.0 && f.stage3_ms >= 0.0);
+    // The CUDA cores run Steps 1-2 of frame i+1 while GauRast runs Step 3
+    // of frame i.
     const double stage12_done = cuda_free + f.stage12_ms;
     cuda_free = stage12_done;
     const double stage3_start = std::max(stage12_done, gaurast_free);

@@ -52,11 +52,6 @@ struct EndToEndResult {
 EndToEndResult schedule_frame(const gpu::StageTimes& cuda_times,
                               double gaurast_raster_ms);
 
-/// Simulates `frames` frames through the two-stage pipeline explicitly
-/// (Fig. 8's timeline) and returns the completion time of the last frame —
-/// used by tests to confirm the closed-form steady-state interval.
-double simulate_pipeline_ms(double stage12_ms, double stage3_ms, int frames);
-
 /// Per-frame workload of a camera trajectory (stage times vary view to
 /// view as the visible Gaussian set changes).
 struct FrameWork {
@@ -74,8 +69,9 @@ struct PipelineSeriesResult {
   double fps() const { return 1000.0 / mean_interval_ms(); }
 };
 
-/// Explicit two-resource pipeline over a varying per-frame workload — the
-/// trajectory-level version of Fig. 8, used to study frame-time jitter.
+/// Explicit two-resource pipeline over a varying per-frame workload — Fig.
+/// 8's timeline, frame by frame; tests use it to confirm the closed-form
+/// steady-state interval and to study frame-time jitter.
 PipelineSeriesResult simulate_pipeline_series(
     const std::vector<FrameWork>& frames);
 

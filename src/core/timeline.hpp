@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "sim/kernel.hpp"
+#include "sim/cycle.hpp"
 
 namespace gaurast::core {
 

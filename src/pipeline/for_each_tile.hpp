@@ -21,17 +21,12 @@ namespace gaurast::pipeline {
 
 /// Calls body(worker, tile) exactly once for every tile in [0, tiles).
 /// Runs min(workers, tiles) workers, each tile claimed dynamically; worker
-/// indices are < that count. With at most one worker the tiles run in order
-/// on the calling thread (no thread is spawned, so the caller's
-/// thread_local state is the one used). Bodies must not throw (see
-/// common::parallel_for_workers).
+/// indices are < that count. A lone worker runs the tiles in order on the
+/// calling thread (see common::parallel_for_workers). Bodies must not
+/// throw.
 template <typename Body>
 void for_each_tile(std::uint32_t tiles, std::size_t workers, Body&& body) {
   workers = std::min<std::size_t>(workers, tiles);
-  if (workers <= 1) {
-    for (std::uint32_t t = 0; t < tiles; ++t) body(std::size_t{0}, t);
-    return;
-  }
   std::atomic<std::uint32_t> next{0};
   common::parallel_for_workers(workers, [&](std::size_t worker) {
     for (std::uint32_t t = next.fetch_add(1, std::memory_order_relaxed);

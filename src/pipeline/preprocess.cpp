@@ -27,9 +27,10 @@ ScenePrecompute precompute_scene(const scene::GaussianScene& scene,
   return pre;
 }
 
-bool project_gaussian(const scene::GaussianScene& scene, std::size_t index,
-                      const scene::Camera& camera, Splat2D& out,
-                      const ScenePrecompute* precompute) {
+ProjectOutcome project_gaussian(const scene::GaussianScene& scene,
+                                std::size_t index, const scene::Camera& camera,
+                                Splat2D& out,
+                                const ScenePrecompute* precompute) {
   // Per-Gaussian contract checks: debug-only, like every other per-element
   // invariant on the hot path (callers loop this over the whole scene).
   GAURAST_DCHECK(index < scene.size());
@@ -37,13 +38,15 @@ bool project_gaussian(const scene::GaussianScene& scene, std::size_t index,
                  precompute->cov3d.size() == scene.size());
   const Vec3f world = scene.positions()[index];
   const Vec3f view = camera.to_view(world);
-  if (view.z <= kNearPlane) return false;
+  if (view.z <= kNearPlane) return ProjectOutcome::kOutsideFrustum;
 
   // Generous screen-bounds cull, as in the reference implementation: keep
   // anything whose center projects within 1.3x the frustum.
   const float lim_x = 1.3f * camera.tan_half_fov_x() * view.z;
   const float lim_y = 1.3f * camera.tan_half_fov_y() * view.z;
-  if (std::abs(view.x) > lim_x || std::abs(view.y) > lim_y) return false;
+  if (std::abs(view.x) > lim_x || std::abs(view.y) > lim_y) {
+    return ProjectOutcome::kOutsideFrustum;
+  }
 
   const Mat3f cov3d =
       precompute != nullptr
@@ -54,7 +57,7 @@ bool project_gaussian(const scene::GaussianScene& scene, std::size_t index,
       camera.tan_half_fov_y(), camera.view_rotation());
 
   Conic2 conic;
-  if (!invert_covariance(cov2d, conic)) return false;
+  if (!invert_covariance(cov2d, conic)) return ProjectOutcome::kDegenerate;
 
   out.mean = camera.view_to_pixel(view);
   out.conic = conic;
@@ -64,7 +67,8 @@ bool project_gaussian(const scene::GaussianScene& scene, std::size_t index,
   out.color = eval_sh_color(scene.sh()[index], scene.sh_degree(),
                             world - camera.eye());
   out.source_id = static_cast<std::uint32_t>(index);
-  return out.radius > 0.0f;
+  return out.radius > 0.0f ? ProjectOutcome::kVisible
+                           : ProjectOutcome::kDegenerate;
 }
 
 std::vector<Splat2D> preprocess(const scene::GaussianScene& scene,
@@ -77,24 +81,17 @@ std::vector<Splat2D> preprocess(const scene::GaussianScene& scene,
   local.gaussians_in = scene.size();
   for (std::size_t i = 0; i < scene.size(); ++i) {
     Splat2D s;
-    const Vec3f view = camera.to_view(scene.positions()[i]);
-    if (view.z <= kNearPlane) {
-      ++local.culled_frustum;
-      continue;
-    }
-    if (!project_gaussian(scene, i, camera, s, precompute)) {
-      // project_gaussian re-checks the frustum; failures here beyond the
-      // near-plane test are degenerate covariances or off-screen centers.
-      const float lim_x = 1.3f * camera.tan_half_fov_x() * view.z;
-      const float lim_y = 1.3f * camera.tan_half_fov_y() * view.z;
-      if (std::abs(view.x) > lim_x || std::abs(view.y) > lim_y) {
+    switch (project_gaussian(scene, i, camera, s, precompute)) {
+      case ProjectOutcome::kVisible:
+        splats.push_back(s);
+        break;
+      case ProjectOutcome::kOutsideFrustum:
         ++local.culled_frustum;
-      } else {
+        break;
+      case ProjectOutcome::kDegenerate:
         ++local.culled_degenerate;
-      }
-      continue;
+        break;
     }
-    splats.push_back(s);
   }
   local.splats_out = splats.size();
   if (stats) *stats = local;

@@ -69,11 +69,20 @@ std::vector<Splat2D> preprocess(const scene::GaussianScene& scene,
                                 PreprocessStats* stats = nullptr,
                                 const ScenePrecompute* precompute = nullptr);
 
-/// Projects a single Gaussian; returns false if culled. Exposed for unit
-/// tests and for the GauRast CUDA-collaborative scheduler model, which keeps
-/// Step 1 on the (modeled) CUDA cores. `precompute` as in preprocess().
-bool project_gaussian(const scene::GaussianScene& scene, std::size_t index,
-                      const scene::Camera& camera, Splat2D& out,
-                      const ScenePrecompute* precompute = nullptr);
+/// What project_gaussian did with one Gaussian. The culled outcomes are
+/// what PreprocessStats counts as culled_frustum and culled_degenerate.
+enum class ProjectOutcome {
+  kVisible,         ///< `out` holds the splat
+  kOutsideFrustum,  ///< behind the near plane or center off-screen
+  kDegenerate,      ///< singular projected covariance or zero radius
+};
+
+/// Projects a single Gaussian into `out`, which is meaningful only when
+/// the outcome is kVisible. Exposed for unit tests. `precompute` as in
+/// preprocess().
+ProjectOutcome project_gaussian(const scene::GaussianScene& scene,
+                                std::size_t index, const scene::Camera& camera,
+                                Splat2D& out,
+                                const ScenePrecompute* precompute = nullptr);
 
 }  // namespace gaurast::pipeline

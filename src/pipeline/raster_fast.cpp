@@ -28,9 +28,9 @@
 // validated against): blended pairs execute the exact reference operation
 // sequence — acc += color * (alpha * T); T *= (1 - alpha) — and the skip
 // conditions only ever drop pairs the reference discards. Stats totals
-// (pairs_evaluated, pairs_blended, pixels_terminated, pairs_per_tile) also
-// match exactly: a skipped step still counts its live lanes as evaluated,
-// as the reference counts the pairs it rejects. They accumulate in per-tile
+// (pairs_evaluated, pairs_blended, pixels_terminated) also match exactly:
+// a skipped step still counts its live lanes as evaluated, as the
+// reference counts the pairs it rejects. They accumulate in per-tile
 // locals, added to the caller's RasterStats once per tile; the stats-off
 // instantiation carries no accounting at all.
 
@@ -215,7 +215,6 @@ void raster_tile(const std::vector<Splat2D>& splats, const TileWorkload& work,
 
   if constexpr (kCollectStats) {
     stats->pairs_evaluated += evaluated;
-    stats->pairs_per_tile[tile_id] += evaluated;
     stats->pairs_blended += blended;
     stats->pixels_terminated += terminated;
   }

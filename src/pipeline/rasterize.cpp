@@ -66,10 +66,7 @@ void rasterize_tile(const std::vector<Splat2D>& splats,
           break;
         }
         const Splat2D& sp = splats[work.instances[i].splat_index];
-        if constexpr (kCollectStats) {
-          ++stats->pairs_evaluated;
-          ++stats->pairs_per_tile[tile_id];
-        }
+        if constexpr (kCollectStats) ++stats->pairs_evaluated;
         const float alpha = eval_splat_alpha(sp, pixel, params);
         if (accumulate(st, alpha, sp.color, params)) {
           if constexpr (kCollectStats) ++stats->pairs_blended;
@@ -142,7 +139,6 @@ void rasterize_into(Image& image, const std::vector<Splat2D>& splats,
   const std::size_t workers = std::min<std::size_t>(
       static_cast<std::size_t>(num_threads), std::max<std::uint32_t>(tiles, 1));
   std::vector<RasterStats> per_worker(stats ? workers : 0);
-  for (RasterStats& st : per_worker) st.pairs_per_tile.assign(tiles, 0);
   for_each_tile(tiles, workers, [&](std::size_t w, std::uint32_t tile) {
     RasterStats* local = stats ? &per_worker[w] : nullptr;
     if (kernel == RasterKernel::kFast) {
@@ -154,17 +150,12 @@ void rasterize_into(Image& image, const std::vector<Splat2D>& splats,
   });
 
   if (!stats) return;
-  RasterStats merged = std::move(per_worker[0]);
-  for (std::size_t w = 1; w < workers; ++w) {
-    const RasterStats& st = per_worker[w];
-    merged.pairs_evaluated += st.pairs_evaluated;
-    merged.pairs_blended += st.pairs_blended;
-    merged.pixels_terminated += st.pixels_terminated;
-    for (std::uint32_t t = 0; t < tiles; ++t) {
-      merged.pairs_per_tile[t] += st.pairs_per_tile[t];
-    }
+  *stats = RasterStats{};
+  for (const RasterStats& st : per_worker) {
+    stats->pairs_evaluated += st.pairs_evaluated;
+    stats->pairs_blended += st.pairs_blended;
+    stats->pixels_terminated += st.pixels_terminated;
   }
-  *stats = std::move(merged);
 }
 
 }  // namespace gaurast::pipeline

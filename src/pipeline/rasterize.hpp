@@ -72,7 +72,6 @@ struct RasterStats {
   std::uint64_t pairs_evaluated = 0;  ///< splat-pixel alpha evaluations
   std::uint64_t pairs_blended = 0;    ///< passed the alpha_min threshold
   std::uint64_t pixels_terminated = 0;
-  std::vector<std::uint64_t> pairs_per_tile;  ///< load per tile (for the sim)
 
   double mean_pairs_per_pixel(std::uint64_t pixels) const {
     return pixels == 0 ? 0.0

@@ -42,8 +42,8 @@ void GaussianRenderer::raster_frame(FrameResult& frame,
   // rasterize_into overwrites every pixel (background first), so a reused
   // or fresh buffer gives bit-identical output to rasterize().
   rasterize_into(frame.image, frame.splats, frame.workload, config_.blend,
-                 config_.collect_stats ? &frame.raster_stats : nullptr,
-                 config_.num_threads, config_.kernel, precompute);
+                 &frame.raster_stats, config_.num_threads, config_.kernel,
+                 precompute);
 }
 
 FrameResult GaussianRenderer::prepare(const scene::GaussianScene& scene,

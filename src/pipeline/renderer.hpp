@@ -20,13 +20,12 @@ namespace gaurast::pipeline {
 struct RendererConfig {
   int tile_size = 16;
   BlendParams blend;
-  bool collect_stats = true;
   /// Step-2 duplication mode; kTightEllipse is the shape-aware-culling
   /// extension (see pipeline/sort.hpp), off by default to match the
   /// reference pipeline.
   CullingMode culling = CullingMode::kBoundingBox;
-  /// Host threads for Steps 2-3: Step 2 switches to parallel tile binning
-  /// and Step 3 fans tiles across threads when > 1. Both stages are
+  /// Host threads for Steps 2-3: Step 2 bins splat chunks and sorts tiles
+  /// across them, and Step 3 fans tiles across them. Both stages are
   /// bit-identical for any thread count.
   int num_threads = 1;
   /// Which Step-3 software kernel runs (see pipeline/rasterize.hpp);

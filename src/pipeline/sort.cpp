@@ -53,8 +53,6 @@ namespace {
 
 /// Clamped tile span [tx0, tx1] x [ty0, ty1] of one splat's footprint under
 /// `mode`; false when the splat lands on no tile (culled or off-screen).
-/// Shared by the serial duplication path and the parallel binning path so
-/// the two can never diverge.
 bool splat_tile_span(const Splat2D& sp, const TileGrid& grid, CullingMode mode,
                      float alpha_min, int& tx0, int& tx1, int& ty0, int& ty1) {
   float rx = sp.radius;
@@ -82,7 +80,7 @@ bool splat_tile_span(const Splat2D& sp, const TileGrid& grid, CullingMode mode,
 /// Stable ascending sort of one tile's bucket by the low 32 depth-key bits
 /// (every key in a bucket shares its tile high bits). Insertion sort for
 /// short buckets; 4-pass LSD counting sort through `scratch` otherwise.
-/// Both are stable, so ties keep splat order — the serial sort's tie break.
+/// Both are stable, so ties keep splat order.
 void sort_tile_bucket_by_depth(TileInstance* first, std::size_t n,
                                std::vector<TileInstance>& scratch) {
   if (n < 2) return;
@@ -129,24 +127,25 @@ void sort_tile_bucket_by_depth(TileInstance* first, std::size_t n,
   if (src != first) std::copy(src, src + n, first);
 }
 
-/// The parallel Step-2 path: per-thread duplication + tile histograms, a
-/// histogram merge that doubles as range identification, a direct scatter
-/// into tile buckets (no global sort), and per-tile depth sorts fanned
-/// across the threads. Deterministic and bit-identical to the serial path.
-void parallel_bin_and_sort(const std::vector<Splat2D>& splats,
-                           const TileGrid& grid, CullingMode mode,
-                           float alpha_min, int num_threads,
-                           TileWorkload& work) {
+}  // namespace
+
+TileWorkload sort_splats(const std::vector<Splat2D>& splats,
+                         const TileGrid& grid, SortStats* stats,
+                         CullingMode mode, float alpha_min, int num_threads) {
+  GAURAST_CHECK(num_threads >= 1);
+  GAURAST_CHECK(grid.width > 0 && grid.height > 0 && grid.tile_size > 0);
   validate_splat_depths(splats);
+  TileWorkload work;
+  work.grid = grid;
   const std::uint32_t tiles = grid.tile_count();
   const auto n_splats = splats.size();
-  const auto workers = static_cast<std::size_t>(std::min<std::size_t>(
-      static_cast<std::size_t>(num_threads), std::max<std::size_t>(n_splats, 1)));
+  const auto workers = std::min<std::size_t>(
+      static_cast<std::size_t>(num_threads), std::max<std::size_t>(n_splats, 1));
 
-  // Pass 1 — duplicate: thread w covers the contiguous splat chunk
+  // Pass 1 — duplicate: worker w covers the contiguous splat chunk
   // [n*w/W, n*(w+1)/W), appending instances in splat order and counting
-  // per tile. Chunks are contiguous, so concatenating the locals in thread
-  // order reproduces the serial duplication order exactly.
+  // per tile. Chunks are contiguous, so concatenating them in worker order
+  // is splat order.
   std::vector<std::vector<TileInstance>> local(workers);
   std::vector<std::vector<std::uint32_t>> local_counts(
       workers, std::vector<std::uint32_t>(tiles, 0));
@@ -178,8 +177,9 @@ void parallel_bin_and_sort(const std::vector<Splat2D>& splats,
     }
   });
 
-  // Merge — exclusive prefix over (tile, thread) gives every thread an
-  // exact write cursor per tile; the per-tile totals are the final ranges.
+  // Pass 2 — ranges: an exclusive prefix over (tile, worker) gives every
+  // worker an exact write cursor per tile; the per-tile totals are the
+  // final ranges. Empty tiles keep the default {0, 0} range.
   std::vector<std::uint32_t> tile_begin(tiles + 1, 0);
   std::vector<std::vector<std::uint32_t>> cursor(
       workers, std::vector<std::uint32_t>(tiles, 0));
@@ -192,19 +192,16 @@ void parallel_bin_and_sort(const std::vector<Splat2D>& splats,
     }
   }
   tile_begin[tiles] = running;
-
   work.instances.resize(running);
   work.ranges.assign(tiles, TileRange{});
   for (std::uint32_t t = 0; t < tiles; ++t) {
-    // Empty tiles keep the default {0, 0} range, matching the serial
-    // sweep's untouched entries bit-for-bit.
     if (tile_begin[t + 1] > tile_begin[t]) {
       work.ranges[t] = TileRange{tile_begin[t], tile_begin[t + 1]};
     }
   }
 
-  // Pass 2 — scatter into tile buckets (stable: thread order == splat
-  // order), then pass 3 — per-tile depth sort, tiles claimed dynamically.
+  // Pass 3 — scatter into tile buckets (stable: worker order is splat
+  // order), then pass 4 — per-tile depth sort, tiles claimed dynamically.
   common::parallel_for_workers(workers, [&](std::size_t w) {
     std::vector<std::uint32_t>& cur = cursor[w];
     for (const TileInstance& ti : local[w]) {
@@ -216,104 +213,14 @@ void parallel_bin_and_sort(const std::vector<Splat2D>& splats,
     sort_tile_bucket_by_depth(work.instances.data() + tile_begin[t],
                               tile_begin[t + 1] - tile_begin[t], scratch[w]);
   });
-}
 
-}  // namespace
-
-std::vector<TileInstance> duplicate_to_tiles(const std::vector<Splat2D>& splats,
-                                             const TileGrid& grid,
-                                             CullingMode mode,
-                                             float alpha_min) {
-  GAURAST_CHECK(grid.width > 0 && grid.height > 0 && grid.tile_size > 0);
-  validate_splat_depths(splats);
-  std::vector<TileInstance> instances;
-  instances.reserve(splats.size() * 2);
-  const int tx_count = grid.tiles_x();
-  for (std::uint32_t s = 0; s < splats.size(); ++s) {
-    int tx0, tx1, ty0, ty1;
-    if (!splat_tile_span(splats[s], grid, mode, alpha_min, tx0, tx1, ty0,
-                         ty1)) {
-      continue;
-    }
-    const std::uint32_t dkey = depth_key_bits(splats[s].depth);
-    for (int ty = ty0; ty <= ty1; ++ty) {
-      for (int tx = tx0; tx <= tx1; ++tx) {
-        const std::uint64_t tile =
-            static_cast<std::uint64_t>(ty) * static_cast<std::uint64_t>(tx_count) +
-            static_cast<std::uint64_t>(tx);
-        instances.push_back(TileInstance{(tile << 32) | dkey, s});
-      }
-    }
-  }
-  return instances;
-}
-
-void radix_sort_instances(std::vector<TileInstance>& instances) {
-  if (instances.size() < 2) return;
-  std::vector<TileInstance> scratch(instances.size());
-  // LSD radix over 8 byte-digits of the 64-bit key; stable per pass, so the
-  // final order is (tile, depth) ascending with insertion order as the tie
-  // break — identical semantics to the reference implementation's sort.
-  for (int pass = 0; pass < 8; ++pass) {
-    const int shift = pass * 8;
-    std::array<std::size_t, 256> histogram{};
-    for (const TileInstance& ti : instances) {
-      ++histogram[(ti.key >> shift) & 0xFFu];
-    }
-    // Skip passes where every key shares the digit (common for high bytes).
-    bool trivial = false;
-    for (std::size_t d = 0; d < 256; ++d) {
-      if (histogram[d] == instances.size()) {
-        trivial = true;
-        break;
-      }
-    }
-    if (trivial) continue;
-    std::array<std::size_t, 256> offsets{};
-    std::size_t running = 0;
-    for (std::size_t d = 0; d < 256; ++d) {
-      offsets[d] = running;
-      running += histogram[d];
-    }
-    for (const TileInstance& ti : instances) {
-      scratch[offsets[(ti.key >> shift) & 0xFFu]++] = ti;
-    }
-    instances.swap(scratch);
-  }
-}
-
-TileWorkload sort_splats(const std::vector<Splat2D>& splats,
-                         const TileGrid& grid, SortStats* stats,
-                         CullingMode mode, float alpha_min, int num_threads) {
-  GAURAST_CHECK(num_threads >= 1);
-  GAURAST_CHECK(grid.width > 0 && grid.height > 0 && grid.tile_size > 0);
-  TileWorkload work;
-  work.grid = grid;
-  if (num_threads == 1) {
-    work.instances = duplicate_to_tiles(splats, grid, mode, alpha_min);
-    radix_sort_instances(work.instances);
-
-    work.ranges.assign(grid.tile_count(), TileRange{});
-    // Identify per-tile ranges in one sweep over the sorted keys.
-    const auto n = static_cast<std::uint32_t>(work.instances.size());
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t tile = work.instances[i].tile();
-      GAURAST_DCHECK(tile < work.ranges.size());
-      if (i == 0 || work.instances[i - 1].tile() != tile) {
-        work.ranges[tile].begin = i;
-      }
-      work.ranges[tile].end = i + 1;
-    }
-  } else {
-    parallel_bin_and_sort(splats, grid, mode, alpha_min, num_threads, work);
-  }
   if (stats) {
-    stats->splats_in = splats.size();
+    stats->splats_in = n_splats;
     stats->instances = work.instances.size();
     stats->instances_per_splat =
         splats.empty() ? 0.0
                        : static_cast<double>(work.instances.size()) /
-                             static_cast<double>(splats.size());
+                             static_cast<double>(n_splats);
   }
   return work;
 }

@@ -2,10 +2,11 @@
 // depth sorting.
 //
 // Each splat is duplicated once per 16x16 screen tile its 3-sigma bounding
-// box overlaps; instances are keyed (tile_id << 32) | float_bits(depth) and
-// radix-sorted, yielding per-tile, front-to-back splat lists — exactly the
-// structure the reference CUDA implementation builds with its device-wide
-// sort, and the structure GauRast's tile buffers are filled from.
+// box overlaps; instances are keyed (tile_id << 32) | float_bits(depth),
+// binned by tile and depth-sorted within each tile, yielding per-tile,
+// front-to-back splat lists — the (tile, depth) order the reference CUDA
+// implementation builds with its device-wide sort, and the structure
+// GauRast's tile buffers are filled from.
 #pragma once
 
 #include <algorithm>
@@ -106,13 +107,8 @@ std::uint32_t depth_key_bits(float depth);
 /// One-time validation at workload build: every splat depth must be
 /// non-negative (and not NaN) for depth_key_bits' bit-pattern ordering to
 /// hold. Throws gaurast::Error naming the first offending splat index.
-/// Called by duplicate_to_tiles/sort_splats before any key is built.
+/// Called by sort_splats before any key is built.
 void validate_splat_depths(const std::vector<Splat2D>& splats);
-
-/// Builds tile instances for all splats (duplication step).
-std::vector<TileInstance> duplicate_to_tiles(
-    const std::vector<Splat2D>& splats, const TileGrid& grid,
-    CullingMode mode = CullingMode::kBoundingBox, float alpha_min = 1.0f / 255.0f);
 
 /// Axis-aligned half-extents (rx, ry) of the region where this splat's
 /// alpha can reach `alpha_min`; used by kTightEllipse. Returns false when
@@ -120,21 +116,17 @@ std::vector<TileInstance> duplicate_to_tiles(
 bool tight_splat_extent(const Splat2D& splat, float alpha_min, float& rx,
                         float& ry);
 
-/// Stable LSD radix sort on the full 64-bit key (8 passes of 8 bits).
-void radix_sort_instances(std::vector<TileInstance>& instances);
-
-/// Runs duplication + sort + range identification.
+/// Runs Step 2: duplication, binning and per-tile depth sort.
 ///
-/// num_threads == 1 is the serial reference path (global radix sort over
-/// the full 64-bit key). num_threads > 1 switches to parallel binning:
-/// each thread duplicates a contiguous splat chunk and histograms it per
-/// tile, a merge turns the histograms into exact per-tile write offsets
-/// (which double as the final TileRanges), threads scatter their instances
-/// straight into tile buckets, and each tile's bucket is depth-sorted with
-/// a stable per-tile counting sort over the 32 depth-key bits. The result
-/// is bit-identical to the serial path — same instances, same ranges, same
-/// per-tile depth order — for any thread count (enforced by
-/// raster_fast_test).
+/// One algorithm for every thread count, in four passes: each of
+/// min(num_threads, splats) workers duplicates a contiguous splat chunk
+/// and counts its instances per tile; the counts become exact per-tile
+/// write offsets, which double as the final TileRanges; the workers
+/// scatter their instances straight into tile buckets; and each tile's
+/// bucket is sorted by depth key with a stable sort. Instances are
+/// ordered by (tile, depth) with splat order breaking ties, so the result
+/// does not depend on `num_threads`. A lone worker runs on the calling
+/// thread.
 TileWorkload sort_splats(const std::vector<Splat2D>& splats,
                          const TileGrid& grid, SortStats* stats = nullptr,
                          CullingMode mode = CullingMode::kBoundingBox,

@@ -61,8 +61,13 @@ void fill_sh_ac(std::span<ShCoefficients> sh, const std::vector<Pcg32>& starts,
                 int degree, float ac_magnitude) {
   const std::size_t bands = sh_basis_count(degree);
   if (bands == 1) return;  // degree 0: DC only
-  const auto fill = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
+  const std::size_t n = sh.size();
+  const std::size_t workers = std::max<std::size_t>(
+      1, std::min<std::size_t>(std::thread::hardware_concurrency(),
+                               n / kMinSplatsPerWorker));
+  common::parallel_for_workers(workers, [&](std::size_t w) {
+    const std::size_t end = n * (w + 1) / workers;
+    for (std::size_t i = n * w / workers; i < end; ++i) {
       Pcg32 rng = starts[i];
       for (std::size_t band = 1; band < bands; ++band) {
         sh[i][band] = Vec3f{static_cast<float>(rng.normal(0.0, ac_magnitude)),
@@ -70,17 +75,6 @@ void fill_sh_ac(std::span<ShCoefficients> sh, const std::vector<Pcg32>& starts,
                             static_cast<float>(rng.normal(0.0, ac_magnitude))};
       }
     }
-  };
-  const std::size_t n = sh.size();
-  const std::size_t workers =
-      std::min<std::size_t>(std::max(1u, std::thread::hardware_concurrency()),
-                            n / kMinSplatsPerWorker);
-  if (workers <= 1) {
-    fill(0, n);
-    return;
-  }
-  common::parallel_for_workers(workers, [&](std::size_t w) {
-    fill(n * w / workers, n * (w + 1) / workers);
   });
 }
 

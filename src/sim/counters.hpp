@@ -33,18 +33,9 @@ class CounterSet {
     return it == counters_.end() ? 0 : it->second;
   }
 
-  void merge(const CounterSet& other) {
-    for (const auto& [k, v] : other.counters_) increment(k, v);
-  }
-
-  void clear() { counters_.clear(); }
-
   const std::map<std::string, std::uint64_t, std::less<>>& all() const {
     return counters_;
   }
-
-  /// Sum of counters whose name starts with `prefix` (e.g. "fp32.").
-  std::uint64_t sum_prefix(std::string_view prefix) const;
 
  private:
   std::map<std::string, std::uint64_t, std::less<>> counters_;

@@ -372,6 +372,31 @@ TEST(FleetStats, MergeSumsTotalsAndKeepsPerShardDetail) {
   EXPECT_NE(json.find("\"submitted\":7"), std::string::npos) << json;
 }
 
+/// Totals past 1e6 print every digit (a double at the stream's default 6
+/// significant digits would print 5.65012e+06), and a counter that is
+/// negative or not a number adds nothing.
+TEST(FleetStats, TotalsAboveOneMillionKeepEveryDigit) {
+  std::vector<ShardStatsEntry> entries(3);
+  entries[0].shard = ShardSnapshot{ShardId{"a", 1}, ShardState::kAlive};
+  entries[0].stats_json =
+      "{\"submitted\":1000001,\"completed\":999999,"
+      "\"scene_resident_bytes\":2825123}";
+  entries[1].shard = ShardSnapshot{ShardId{"b", 2}, ShardState::kAlive};
+  entries[1].stats_json =
+      "{\"submitted\":4294967296,\"completed\":1,"
+      "\"scene_resident_bytes\":2824999}";
+  entries[2].shard = ShardSnapshot{ShardId{"c", 3}, ShardState::kAlive};
+  entries[2].stats_json = "{\"submitted\":-7,\"completed\":oops}";
+
+  const std::string json = merge_fleet_stats(entries, RouterStatsSnapshot{});
+  EXPECT_NE(json.find("\"fleet\":{\"submitted\":4295967297,"
+                      "\"completed\":1000000,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"scene_resident_bytes\":5650122,"), std::string::npos)
+      << json;
+}
+
 // ---------------------------------------------------------------------------
 // Router end to end
 // ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ TEST(Reproduction, PairOpEnergyPinnedToEveryDigit) {
   const ProfileSimulator sim(RasterizerConfig::scaled300());
   const ProfileSimResult garden =
       sim.simulate(scene::profile_by_name("garden"));
-  EXPECT_EQ(garden.energy_soc.total_mj(), 73.456214170620598);
+  EXPECT_EQ(garden.energy_soc.total_mj(), 73.701944890023128);
 }
 
 TEST(Reproduction, MiniSplattingReachesFortyishFps) {
@@ -198,7 +198,9 @@ TEST(Scheduler, NegativeRasterTimeThrows) {
 TEST(Scheduler, ExplicitPipelineMatchesClosedForm) {
   const double s12 = 30.0, s3 = 12.0;
   const int frames = 50;
-  const double sim_ms = simulate_pipeline_ms(s12, s3, frames);
+  const double sim_ms =
+      simulate_pipeline_series(std::vector<FrameWork>(frames, {s12, s3}))
+          .completion_ms.back();
   // Steady state: one stage12 fill + (frames) intervals of max(s12, s3)
   // (stage3 of frame i overlaps stage12 of frame i+1).
   const double expected = s12 + s3 + (frames - 1) * std::max(s12, s3);
@@ -206,7 +208,9 @@ TEST(Scheduler, ExplicitPipelineMatchesClosedForm) {
 }
 
 TEST(Scheduler, ExplicitPipelineRasterBound) {
-  const double sim_ms = simulate_pipeline_ms(10.0, 25.0, 40);
+  const double sim_ms =
+      simulate_pipeline_series(std::vector<FrameWork>(40, {10.0, 25.0}))
+          .completion_ms.back();
   EXPECT_NEAR(sim_ms, 10.0 + 25.0 + 39 * 25.0, 1e-9);
 }
 

@@ -109,6 +109,20 @@ TEST(DesignTimeline, InvalidConfigThrows) {
   EXPECT_THROW(run_design_timeline({}, c), Error);
 }
 
+// ------------------------------------------------------- Detailed sim --
+
+/// The deadlock guard: a run that needs more than `max_cycles` throws,
+/// exactly enough cycles does not, and an empty tile list takes none.
+TEST(DetailedSim, ThrowsOnNonConvergence) {
+  const RasterizerConfig c = test_config();
+  const std::vector<TileLoad> tiles(4, TileLoad{1600, 2048});
+  const sim::Cycle needed = run_detailed_module_sim(tiles, c).cycles;
+  ASSERT_GT(needed, 0u);
+  EXPECT_EQ(run_detailed_module_sim(tiles, c, needed).cycles, needed);
+  EXPECT_THROW(run_detailed_module_sim(tiles, c, needed - 1), Error);
+  EXPECT_EQ(run_detailed_module_sim({}, c, 0).cycles, 0u);
+}
+
 // ------------------------- detailed-vs-analytic validation (TEST_P) -----
 
 struct ValidationCase {

@@ -542,8 +542,8 @@ TEST(PipelineSeries, UniformWorkloadMatchesClosedForm) {
   ASSERT_EQ(r.completion_ms.size(), 30u);
   // Steady-state interval is max(stage12, stage3) = 20 ms.
   EXPECT_NEAR(r.interval_ms.back(), 20.0, 1e-9);
-  EXPECT_NEAR(r.completion_ms.back(),
-              core::simulate_pipeline_ms(20.0, 8.0, 30), 1e-9);
+  // One fill of both stages, then 29 stage-12-bound intervals.
+  EXPECT_NEAR(r.completion_ms.back(), 20.0 + 8.0 + 29 * 20.0, 1e-9);
 }
 
 TEST(PipelineSeries, JitterReflectsWorkloadVariation) {

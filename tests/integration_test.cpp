@@ -142,8 +142,11 @@ TEST(Integration, EndToEndPipelineWithHardwareNumbers) {
   EXPECT_GT(e2e.pipelined_fps(), e2e.cuda_only_fps());
   // The explicit Fig. 8 timeline agrees with the closed form over N frames.
   const int frames = 20;
-  const double explicit_ms = core::simulate_pipeline_ms(
-      e2e.stage12_ms, e2e.gaurast_raster_ms, frames);
+  const double explicit_ms =
+      core::simulate_pipeline_series(
+          std::vector<core::FrameWork>(
+              frames, {e2e.stage12_ms, e2e.gaurast_raster_ms}))
+          .completion_ms.back();
   const double steady = e2e.pipelined_frame_ms();
   EXPECT_NEAR(explicit_ms / frames, steady, steady * 0.15);
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -88,12 +89,32 @@ TEST(ProjectGaussian, DepthIsViewZ) {
   gscene.add(g);
   const scene::Camera cam(64, 64, 0.9f, {0, 0, -5}, {0, 0, 0});
   Splat2D s;
-  ASSERT_TRUE(project_gaussian(gscene, 0, cam, s));
+  ASSERT_EQ(project_gaussian(gscene, 0, cam, s), ProjectOutcome::kVisible);
   EXPECT_NEAR(s.depth, 5.0f, 1e-3f);
   EXPECT_NEAR(s.mean.x, 32.0f, 0.6f);
 }
 
 // ---------------------------------------------------------------- Sort --
+
+/// A splat whose 3-sigma square is `radius` pixels around (x, y).
+Splat2D sort_splat(float x, float y, float radius, float depth) {
+  Splat2D s;
+  s.mean = {x, y};
+  s.radius = radius;
+  s.depth = depth;
+  return s;
+}
+
+/// Splat indices of tile `tile`'s sorted list, front to back.
+std::vector<std::uint32_t> tile_splats(const TileWorkload& work,
+                                       std::uint32_t tile) {
+  std::vector<std::uint32_t> out;
+  const TileRange r = work.ranges[tile];
+  for (std::uint32_t i = r.begin; i < r.end; ++i) {
+    out.push_back(work.instances[i].splat_index);
+  }
+  return out;
+}
 
 TEST(DepthKey, MonotoneInDepth) {
   Pcg32 rng(3);
@@ -106,69 +127,151 @@ TEST(DepthKey, MonotoneInDepth) {
   }
   // Negative depths are rejected once at workload build (see
   // validate_splat_depths / raster_fast_test), not per key in the hot loop.
-  std::vector<Splat2D> bad(1);
-  bad[0].mean = {8.0f, 8.0f};
-  bad[0].radius = 2.0f;
-  bad[0].depth = -1.0f;
-  EXPECT_THROW(duplicate_to_tiles(bad, TileGrid{16, 64, 64}), Error);
+  const std::vector<Splat2D> bad = {sort_splat(8.0f, 8.0f, 2.0f, -1.0f)};
+  EXPECT_THROW(sort_splats(bad, TileGrid{16, 64, 64}), Error);
 }
 
 TEST(Duplicate, SingleTileSplat) {
-  std::vector<Splat2D> splats(1);
-  splats[0].mean = {24.0f, 24.0f};
-  splats[0].radius = 2.0f;
-  splats[0].depth = 1.0f;
+  const std::vector<Splat2D> splats = {sort_splat(24.0f, 24.0f, 2.0f, 1.0f)};
   TileGrid grid{16, 64, 64};
-  const auto inst = duplicate_to_tiles(splats, grid);
-  ASSERT_EQ(inst.size(), 1u);
-  EXPECT_EQ(inst[0].tile(), 1u * 4u + 1u);
+  const TileWorkload work = sort_splats(splats, grid);
+  ASSERT_EQ(work.instances.size(), 1u);
+  EXPECT_EQ(work.instances[0].tile(), 1u * 4u + 1u);
+  EXPECT_EQ(work.ranges[1u * 4u + 1u].size(), 1u);
 }
 
 TEST(Duplicate, SplatSpanningFourTiles) {
-  std::vector<Splat2D> splats(1);
-  splats[0].mean = {16.0f, 16.0f};  // on the 2x2 tile corner
-  splats[0].radius = 3.0f;
-  splats[0].depth = 1.0f;
+  // On the 2x2 tile corner.
+  const std::vector<Splat2D> splats = {sort_splat(16.0f, 16.0f, 3.0f, 1.0f)};
   TileGrid grid{16, 64, 64};
-  EXPECT_EQ(duplicate_to_tiles(splats, grid).size(), 4u);
+  const TileWorkload work = sort_splats(splats, grid);
+  ASSERT_EQ(work.instances.size(), 4u);
+  for (const std::uint32_t tile : {0u, 1u, 4u, 5u}) {
+    EXPECT_EQ(work.ranges[tile].size(), 1u) << "tile " << tile;
+  }
 }
 
 TEST(Duplicate, OffscreenSplatDropped) {
-  std::vector<Splat2D> splats(1);
-  splats[0].mean = {-100.0f, -100.0f};
-  splats[0].radius = 3.0f;
-  splats[0].depth = 1.0f;
+  const std::vector<Splat2D> splats = {
+      sort_splat(-100.0f, -100.0f, 3.0f, 1.0f)};
   TileGrid grid{16, 64, 64};
-  EXPECT_TRUE(duplicate_to_tiles(splats, grid).empty());
+  const TileWorkload work = sort_splats(splats, grid);
+  EXPECT_TRUE(work.instances.empty());
+  for (const TileRange& r : work.ranges) EXPECT_EQ(r.size(), 0u);
 }
 
+/// Each tile's list matches std::stable_sort by depth key, with the depths
+/// drawn from a small set so ties are common: 600 splats in one tile take
+/// the counting-sort branch, 20 in another the insertion-sort branch.
 TEST(RadixSort, MatchesStdStableSort) {
   Pcg32 rng(9);
-  std::vector<TileInstance> instances;
-  for (std::uint32_t i = 0; i < 5000; ++i) {
-    instances.push_back(TileInstance{rng.next_u64(), i});
+  std::vector<Splat2D> splats;
+  for (std::uint32_t i = 0; i < 620; ++i) {
+    const float x = i < 600 ? 8.0f : 24.0f;
+    splats.push_back(sort_splat(x, 8.0f, 2.0f,
+                                0.5f + 0.25f * static_cast<float>(rng.next_below(64))));
   }
-  auto expected = instances;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const TileInstance& a, const TileInstance& b) {
-                     return a.key < b.key;
-                   });
-  radix_sort_instances(instances);
-  ASSERT_EQ(instances.size(), expected.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    EXPECT_EQ(instances[i].key, expected[i].key);
-    EXPECT_EQ(instances[i].splat_index, expected[i].splat_index);
+  const TileWorkload work = sort_splats(splats, TileGrid{16, 32, 16});
+  for (const std::uint32_t tile : {0u, 1u}) {
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t i = 0; i < splats.size(); ++i) {
+      if ((i < 600) == (tile == 0)) expected.push_back(i);
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return depth_key_bits(splats[a].depth) <
+                              depth_key_bits(splats[b].depth);
+                     });
+    EXPECT_EQ(tile_splats(work, tile), expected) << "tile " << tile;
   }
 }
 
 TEST(RadixSort, StableOnEqualKeys) {
-  std::vector<TileInstance> instances;
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    instances.push_back(TileInstance{42, i});
+  std::vector<Splat2D> splats(100, sort_splat(8.0f, 8.0f, 2.0f, 1.0f));
+  const TileWorkload work = sort_splats(splats, TileGrid{16, 16, 16});
+  const std::vector<std::uint32_t> order = tile_splats(work, 0);
+  ASSERT_EQ(order.size(), 100u);
+  for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
+}
+
+/// sort_splats against a brute-force oracle: every splat duplicated into
+/// every tile its clamped bounding square touches, in splat order, then
+/// std::stable_sort on the (tile, depth) key, at 1-4 threads.
+TEST(SortSplats, MatchesBruteForceOracle) {
+  Pcg32 rng(17);
+  std::vector<Splat2D> splats;
+  for (int i = 0; i < 700; ++i) {
+    // Means reach past every edge so clamping and off-screen drops occur;
+    // depths repeat so ties occur.
+    splats.push_back(sort_splat(
+        static_cast<float>(rng.uniform(-20.0, 120.0)),
+        static_cast<float>(rng.uniform(-20.0, 90.0)),
+        static_cast<float>(rng.uniform(0.5, 30.0)),
+        static_cast<float>(1 + rng.next_below(40)) * 0.125f));
   }
-  radix_sort_instances(instances);
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(instances[i].splat_index, i);
+  const TileGrid grid{16, 100, 70};  // partial edge tiles on both axes
+  std::vector<TileInstance> expected;
+  for (std::uint32_t s = 0; s < splats.size(); ++s) {
+    const Splat2D& sp = splats[s];
+    for (int ty = 0; ty < grid.tiles_y(); ++ty) {
+      for (int tx = 0; tx < grid.tiles_x(); ++tx) {
+        const float x0 = static_cast<float>(tx * grid.tile_size);
+        const float y0 = static_cast<float>(ty * grid.tile_size);
+        const float ts = static_cast<float>(grid.tile_size);
+        if (sp.mean.x + sp.radius < x0 || sp.mean.x - sp.radius >= x0 + ts ||
+            sp.mean.y + sp.radius < y0 || sp.mean.y - sp.radius >= y0 + ts) {
+          continue;
+        }
+        const auto tile = static_cast<std::uint64_t>(ty * grid.tiles_x() + tx);
+        expected.push_back(
+            TileInstance{(tile << 32) | depth_key_bits(sp.depth), s});
+      }
+    }
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const TileInstance& a, const TileInstance& b) {
+                     return a.key < b.key;
+                   });
+  for (int threads = 1; threads <= 4; ++threads) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const TileWorkload work =
+        sort_splats(splats, grid, nullptr, CullingMode::kBoundingBox,
+                    1.0f / 255.0f, threads);
+    ASSERT_EQ(work.instances.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(work.instances[i].key, expected[i].key) << "instance " << i;
+      EXPECT_EQ(work.instances[i].splat_index, expected[i].splat_index)
+          << "instance " << i;
+    }
+    ASSERT_EQ(work.ranges.size(), grid.tile_count());
+    for (std::uint32_t t = 0; t < grid.tile_count(); ++t) {
+      const TileRange r = work.ranges[t];
+      for (std::uint32_t i = r.begin; i < r.end; ++i) {
+        EXPECT_EQ(work.instances[i].tile(), t);
+      }
+    }
+  }
+}
+
+/// Equal depths keep splat order in both per-tile sort branches: 40
+/// same-depth splats in tile 0 (counting sort) and 10 in tile 1
+/// (insertion sort), interleaved in splat order and split across threads.
+TEST(SortSplats, EqualDepthsKeepSplatOrderInBothTileSortBranches) {
+  std::vector<Splat2D> splats;
+  std::vector<std::uint32_t> in_tile0, in_tile1;
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    const bool second = i % 5 == 4;
+    (second ? in_tile1 : in_tile0).push_back(i);
+    splats.push_back(sort_splat(second ? 24.0f : 8.0f, 8.0f, 2.0f, 2.0f));
+  }
+  ASSERT_GE(in_tile0.size(), 32u);
+  ASSERT_LT(in_tile1.size(), 32u);
+  for (int threads = 1; threads <= 4; ++threads) {
+    const TileWorkload work =
+        sort_splats(splats, TileGrid{16, 32, 16}, nullptr,
+                    CullingMode::kBoundingBox, 1.0f / 255.0f, threads);
+    EXPECT_EQ(tile_splats(work, 0), in_tile0) << "threads " << threads;
+    EXPECT_EQ(tile_splats(work, 1), in_tile1) << "threads " << threads;
   }
 }
 
@@ -330,18 +433,6 @@ TEST(Rasterize, EarlyTerminationReducesPairs) {
             full.pairs_evaluated / 10);
 }
 
-TEST(Rasterize, PairsPerTileSumsToTotal) {
-  const auto gscene = small_scene(1500);
-  const auto cam = test_camera();
-  const GaussianRenderer renderer;
-  const FrameResult frame = renderer.render(gscene, cam);
-  std::uint64_t sum = 0;
-  for (auto v : frame.raster_stats.pairs_per_tile) sum += v;
-  EXPECT_EQ(sum, frame.raster_stats.pairs_evaluated);
-  EXPECT_GE(frame.raster_stats.pairs_evaluated,
-            frame.raster_stats.pairs_blended);
-}
-
 TEST(Rasterize, MultithreadedBitExactAndStatsMatch) {
   const auto gscene = small_scene(2500);
   const auto cam = test_camera(160, 120);
@@ -356,9 +447,6 @@ TEST(Rasterize, MultithreadedBitExactAndStatsMatch) {
   EXPECT_EQ(parallel_stats.pairs_evaluated, serial_stats.pairs_evaluated);
   EXPECT_EQ(parallel_stats.pairs_blended, serial_stats.pairs_blended);
   EXPECT_EQ(parallel_stats.pixels_terminated, serial_stats.pixels_terminated);
-  for (std::size_t t = 0; t < serial_stats.pairs_per_tile.size(); ++t) {
-    EXPECT_EQ(parallel_stats.pairs_per_tile[t], serial_stats.pairs_per_tile[t]);
-  }
 }
 
 TEST(Rasterize, ThreadCountBeyondTilesIsSafe) {
