@@ -1,10 +1,11 @@
 // bench_micro — microbenchmarks of the substrate implementations: PE
-// datapath throughput, software rasterization (reference vs fast kernel),
-// Step-2 tile binning (`sort_serial` on 1 thread, `sort_parallel` on
-// --threads), preprocessing, the hardware functional model, the triangle
-// reference path, the detailed cycle simulator and a scene-store miss
-// (generate, quantize, dequantize). These gauge the *simulator's* host-side
-// performance, not modeled hardware numbers.
+// datapath throughput (`pe_gaussian_pair`: 200k pairs, each adding its
+// outcome's row to a `core::OpCounts`), software rasterization (reference
+// vs fast kernel), Step-2 tile binning (`sort_serial` on 1 thread,
+// `sort_parallel` on --threads), preprocessing, the hardware functional
+// model, the triangle reference path, the detailed cycle simulator and a
+// scene-store miss (generate, quantize, dequantize). These gauge the
+// *simulator's* host-side performance, not modeled hardware numbers.
 //
 // Self-contained harness (no third-party benchmark dependency): every
 // selected benchmark first runs `--warmup` unmeasured iterations, then the
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
       splat.conic = {0.05f, 0.01f, 0.07f};
       splat.opacity = 0.8f;
       splat.color = {0.5f, 0.4f, 0.3f};
-      sim::CounterSet counters;
+      core::OpCounts counters;
       pipeline::PixelBlendState state;
       for (int i = 0; i < 200000; ++i) {
         state = pipeline::PixelBlendState{};

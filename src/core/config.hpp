@@ -8,10 +8,58 @@
 #pragma once
 
 #include <cstddef>
-
-#include "sim/cycle.hpp"
+#include <cstdint>
 
 namespace gaurast::core {
+
+/// The clock unit of the hardware models: the analytic tile timeline
+/// (core/timeline.hpp) and the per-cycle detailed module
+/// (core/detailed_sim.hpp) both count cycles of the module clock.
+using Cycle = std::uint64_t;
+
+/// The op ledger of the PE model: datapath ops retired and tile-buffer
+/// traffic, the inputs EnergyModel prices (paper Table II's per-pair mix
+/// plus the triangle-mode divider). HardwareRasterizer fills one per frame.
+struct OpCounts {
+  std::uint64_t adds = 0;
+  std::uint64_t muls = 0;
+  std::uint64_t divs = 0;
+  std::uint64_t exps = 0;
+  std::uint64_t cmps = 0;
+  std::uint64_t buf_read_bytes = 0;
+  std::uint64_t buf_write_bytes = 0;
+  std::uint64_t primitives = 0;  ///< tile-list entries fetched
+
+  constexpr OpCounts& operator+=(const OpCounts& o) {
+    adds += o.adds;
+    muls += o.muls;
+    divs += o.divs;
+    exps += o.exps;
+    cmps += o.cmps;
+    buf_read_bytes += o.buf_read_bytes;
+    buf_write_bytes += o.buf_write_bytes;
+    primitives += o.primitives;
+    return *this;
+  }
+  bool operator==(const OpCounts&) const = default;
+
+  constexpr std::uint64_t buffer_bytes() const {
+    return buf_read_bytes + buf_write_bytes;
+  }
+};
+
+/// `n` copies of `ops`: a per-pair or per-primitive row times its count.
+constexpr OpCounts operator*(OpCounts ops, std::uint64_t n) {
+  ops.adds *= n;
+  ops.muls *= n;
+  ops.divs *= n;
+  ops.exps *= n;
+  ops.cmps *= n;
+  ops.buf_read_bytes *= n;
+  ops.buf_write_bytes *= n;
+  ops.primitives *= n;
+  return ops;
+}
 
 enum class Precision { kFp32, kFp16 };
 
@@ -30,7 +78,7 @@ struct RasterizerConfig {
   /// Cache/memory interface per module: sustained bytes per cycle and fixed
   /// access latency (paper Fig. 7(b) "Cache/Memory Interface").
   double mem_bytes_per_cycle = 64.0;
-  sim::Cycle mem_latency = 40;
+  Cycle mem_latency = 40;
 
   /// PE pipeline depth: cycles from operand issue to writeback; adds a
   /// fill/drain overhead per tile.

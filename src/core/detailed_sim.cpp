@@ -17,7 +17,7 @@ struct Buffer {
   BufferState state = BufferState::kFree;
   std::size_t tile_index = 0;
   std::uint64_t bytes_remaining = 0;
-  sim::Cycle latency_remaining = 0;
+  Cycle latency_remaining = 0;
   std::uint64_t sequence = 0;  ///< fill order, for in-order consumption
 };
 
@@ -102,7 +102,7 @@ class DetailedModule {
       pick->state = BufferState::kDraining;
       active_buffer_ = pick;
       pe_active_ = true;
-      drain_remaining_ = static_cast<sim::Cycle>(config_.pipeline_depth);
+      drain_remaining_ = static_cast<Cycle>(config_.pipeline_depth);
       pairs_remaining_ = tiles_[pick->tile_index].pairs;
       return;  // issue starts next cycle, matching the analytic +depth term
     }
@@ -133,7 +133,7 @@ class DetailedModule {
   std::uint64_t pairs_remaining_ = 0;
   bool pe_active_ = false;
   Buffer* active_buffer_ = nullptr;
-  sim::Cycle drain_remaining_ = 0;
+  Cycle drain_remaining_ = 0;
   std::uint64_t pairs_retired_ = 0;
   std::uint64_t fill_stalls_ = 0;
 };
@@ -142,10 +142,10 @@ class DetailedModule {
 
 DetailedSimResult run_detailed_module_sim(const std::vector<TileLoad>& tiles,
                                           const RasterizerConfig& config,
-                                          sim::Cycle max_cycles) {
+                                          Cycle max_cycles) {
   config.validate();
   DetailedModule module(tiles, config);
-  sim::Cycle cycles = 0;
+  Cycle cycles = 0;
   while (!module.idle()) {
     GAURAST_CHECK_MSG(cycles < max_cycles, "simulation did not converge within "
                                                << max_cycles << " cycles");

@@ -10,12 +10,11 @@
 
 #include "core/config.hpp"
 #include "core/timeline.hpp"
-#include "sim/cycle.hpp"
 
 namespace gaurast::core {
 
 struct DetailedSimResult {
-  sim::Cycle cycles = 0;
+  Cycle cycles = 0;
   std::uint64_t pairs = 0;
   double utilization = 0.0;     ///< retired pairs / PE-cycle slots
   std::uint64_t fill_stall_cycles = 0;  ///< PE block idle waiting on fills
@@ -25,6 +24,6 @@ struct DetailedSimResult {
 /// gaurast::Error if it is not done within `max_cycles` (deadlock guard).
 DetailedSimResult run_detailed_module_sim(const std::vector<TileLoad>& tiles,
                                           const RasterizerConfig& config,
-                                          sim::Cycle max_cycles = 200000000);
+                                          Cycle max_cycles = 200000000);
 
 }  // namespace gaurast::core

@@ -1,8 +1,6 @@
 #include "core/energy.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <string>
 
 #include "common/error.hpp"
 #include "core/pe.hpp"
@@ -35,36 +33,23 @@ EnergyModel::EnergyModel(RasterizerConfig config, EnergyTable table)
   config_.validate();
 }
 
-double EnergyModel::op_energy_pj(const char* op_name) const {
+double EnergyModel::datapath_pj(const OpCounts& ops) const {
   const double scale =
       config_.precision == Precision::kFp16 ? table_.fp16_scale : 1.0;
-  const std::string name(op_name);
-  if (name == sim::ops::kFp32Add) return table_.fp_add_pj * scale;
-  if (name == sim::ops::kFp32Mul) return table_.fp_mul_pj * scale;
-  if (name == sim::ops::kFp32Div) return table_.fp_div_pj * scale;
-  if (name == sim::ops::kFp32Exp) return table_.fp_exp_pj * scale;
-  if (name == sim::ops::kFp32Cmp) return table_.fp_cmp_pj * scale;
-  GAURAST_CHECK_MSG(false, "unknown op " << name);
-  return 0.0;
+  return static_cast<double>(ops.adds) * (table_.fp_add_pj * scale) +
+         static_cast<double>(ops.muls) * (table_.fp_mul_pj * scale) +
+         static_cast<double>(ops.divs) * (table_.fp_div_pj * scale) +
+         static_cast<double>(ops.exps) * (table_.fp_exp_pj * scale) +
+         static_cast<double>(ops.cmps) * (table_.fp_cmp_pj * scale);
 }
 
-EnergyBreakdown EnergyModel::from_counters(const sim::CounterSet& counters,
+EnergyBreakdown EnergyModel::from_counters(const OpCounts& counters,
                                            double runtime_ms) const {
   EnergyBreakdown e;
-  double datapath_pj = 0.0;
-  for (const char* op : {sim::ops::kFp32Add, sim::ops::kFp32Mul,
-                         sim::ops::kFp32Div, sim::ops::kFp32Exp,
-                         sim::ops::kFp32Cmp}) {
-    datapath_pj += static_cast<double>(counters.get(op)) * op_energy_pj(op);
-  }
-  datapath_pj *= (1.0 + table_.control_overhead);
-  const double buffer_bytes =
-      static_cast<double>(counters.get(sim::ops::kBufRead) +
-                          counters.get(sim::ops::kBufWrite));
-  const double buffer_pj = buffer_bytes * table_.sram_pj_per_byte *
-                           (1.0 + table_.control_overhead);
-  e.datapath_mj = datapath_pj * 1e-9;  // pJ -> mJ
-  e.buffer_mj = buffer_pj * 1e-9;
+  const double overhead = 1.0 + table_.control_overhead;
+  e.datapath_mj = datapath_pj(counters) * overhead * 1e-9;  // pJ -> mJ
+  e.buffer_mj = static_cast<double>(counters.buffer_bytes()) *
+                table_.sram_pj_per_byte * overhead * 1e-9;
   e.leakage_mj = table_.module_leakage_w *
                  static_cast<double>(config_.module_count) * runtime_ms;
   return e;
@@ -74,29 +59,22 @@ EnergyBreakdown EnergyModel::from_pair_statistics(
     std::uint64_t pairs, double blended_fraction,
     std::uint64_t primitive_fetches, double runtime_ms) const {
   GAURAST_CHECK(blended_fraction >= 0.0 && blended_fraction <= 1.0);
-  // Ops per pair from the PE datapath inventory (core/pe.hpp).
-  const auto pair_pj = [&](GaussianOutcome outcome) {
-    const GaussianPairOps& ops = gaussian_pair_ops(outcome);
-    return static_cast<double>(ops.adds) * op_energy_pj(sim::ops::kFp32Add) +
-           static_cast<double>(ops.muls) * op_energy_pj(sim::ops::kFp32Mul) +
-           static_cast<double>(ops.exps) * op_energy_pj(sim::ops::kFp32Exp) +
-           static_cast<double>(ops.cmps) * op_energy_pj(sim::ops::kFp32Cmp);
-  };
-  const double pj_full = pair_pj(GaussianOutcome::kBlended);
-  const double pj_reject = pair_pj(GaussianOutcome::kRejected);
+  const double pj_full =
+      datapath_pj(gaussian_pair_ops(GaussianOutcome::kBlended));
+  const double pj_reject =
+      datapath_pj(gaussian_pair_ops(GaussianOutcome::kRejected));
 
   EnergyBreakdown e;
   const double n = static_cast<double>(pairs);
-  const double datapath_pj =
+  const double overhead = 1.0 + table_.control_overhead;
+  e.datapath_mj =
       n * (blended_fraction * pj_full + (1.0 - blended_fraction) * pj_reject) *
-      (1.0 + table_.control_overhead);
-  const double buffer_pj =
-      (n * kBufferBytesPerPair +
+      overhead * 1e-9;
+  e.buffer_mj =
+      (n * static_cast<double>(kPairStateBytes.buffer_bytes()) +
        static_cast<double>(primitive_fetches) *
            static_cast<double>(gaussian_primitive_bytes(config_.precision))) *
-      table_.sram_pj_per_byte * (1.0 + table_.control_overhead);
-  e.datapath_mj = datapath_pj * 1e-9;
-  e.buffer_mj = buffer_pj * 1e-9;
+      table_.sram_pj_per_byte * overhead * 1e-9;
   e.leakage_mj = table_.module_leakage_w *
                  static_cast<double>(config_.module_count) * runtime_ms;
   return e;
@@ -115,13 +93,10 @@ double EnergyModel::typical_module_power_w() const {
   const double pairs_per_s = static_cast<double>(config_.pes_per_module) *
                              config_.pairs_per_cycle_per_pe() *
                              config_.clock_ghz * 1e9;
-  const GaussianPairOps& full = gaussian_pair_ops(GaussianOutcome::kBlended);
   const double pj_pair =
-      (static_cast<double>(full.adds) * op_energy_pj(sim::ops::kFp32Add) +
-       static_cast<double>(full.muls) * op_energy_pj(sim::ops::kFp32Mul) +
-       static_cast<double>(full.exps) * op_energy_pj(sim::ops::kFp32Exp) +
-       static_cast<double>(full.cmps) * op_energy_pj(sim::ops::kFp32Cmp) +
-       kBufferBytesPerPair * table_.sram_pj_per_byte) *
+      (datapath_pj(gaussian_pair_ops(GaussianOutcome::kBlended)) +
+       static_cast<double>(kPairStateBytes.buffer_bytes()) *
+           table_.sram_pj_per_byte) *
       (1.0 + table_.control_overhead);
   return pairs_per_s * pj_pair * 1e-12 + table_.module_leakage_w;
 }

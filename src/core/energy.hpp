@@ -11,7 +11,6 @@
 #pragma once
 
 #include "core/config.hpp"
-#include "sim/counters.hpp"
 
 namespace gaurast::core {
 
@@ -62,9 +61,9 @@ class EnergyModel {
  public:
   EnergyModel(RasterizerConfig config, EnergyTable table = {});
 
-  /// Energy from exact op counters (functional/detailed simulation) at the
+  /// Energy from exact op counts (functional/detailed simulation) at the
   /// 28 nm prototype node.
-  EnergyBreakdown from_counters(const sim::CounterSet& counters,
+  EnergyBreakdown from_counters(const OpCounts& counters,
                                 double runtime_ms) const;
 
   /// Energy for a statistical workload (full-scale ProfileSimulator):
@@ -85,14 +84,12 @@ class EnergyModel {
 
   const EnergyTable& table() const { return table_; }
 
-  /// Effective per-op energy given the config's precision.
-  double op_energy_pj(const char* op_name) const;
-
-  /// Tile-buffer bytes touched per evaluated pair (pixel state read-modify-
-  /// write amortized over the splat's pixels + primitive operand streaming).
-  static constexpr double kBufferBytesPerPair = 20.0;
-
  private:
+  /// Datapath energy (pJ) of an op mix at the config's precision, before
+  /// control overhead. Sums add, mul, div, exp, cmp in that order, so every
+  /// caller prices the same mix to the same bits.
+  double datapath_pj(const OpCounts& ops) const;
+
   RasterizerConfig config_;
   EnergyTable table_;
 };

@@ -12,11 +12,6 @@ namespace gaurast::core {
 
 namespace {
 
-/// Bytes of pixel-state read-modify-write traffic charged per pair (split
-/// evenly between read and write for the counters).
-constexpr std::uint64_t kPairStateReadBytes = 10;
-constexpr std::uint64_t kPairStateWriteBytes = 10;
-
 /// What one walk over a Gaussian tile workload counted.
 struct GaussianTally {
   GaussianOutcomeCounts outcomes{};  ///< pairs per datapath branch
@@ -25,7 +20,7 @@ struct GaussianTally {
 
 /// Runs every pixel of every non-empty tile through the PE datapath at
 /// precision P, writing `image` and appending one TileLoad per tile. Counts
-/// in plain integers; the caller charges the CounterSet once per frame.
+/// outcomes in plain integers; the caller prices them once per frame.
 template <Precision P>
 GaussianTally walk_gaussian_tiles(const std::vector<pipeline::Splat2D>& splats,
                                   const pipeline::TileWorkload& work,
@@ -74,7 +69,7 @@ GaussianTally walk_gaussian_tiles(const std::vector<pipeline::Splat2D>& splats,
               state.accumulated + params.background * state.transmittance;
         }
       }
-      tile_loads.push_back(load);
+      tile_loads.push_back(std::move(load));
     }
   }
   return tally;
@@ -113,18 +108,14 @@ HwRasterResult HardwareRasterizer::rasterize_gaussians(
   result.pairs_blended =
       tally.outcomes[static_cast<std::size_t>(GaussianOutcome::kBlended)];
 
-  // The frame's totals, charged once. A counter appears only when non-zero,
-  // except pe.pairs.
-  charge_gaussian_ops(tally.outcomes, result.counters);
-  const auto charge = [&](const char* name, std::uint64_t count) {
-    if (count != 0) result.counters.increment(name, count);
-  };
-  charge(sim::ops::kBufRead,
-         tally.primitives * gaussian_primitive_bytes(config_.precision) +
-             pairs * kPairStateReadBytes);
-  charge(sim::ops::kBufWrite, pairs * kPairStateWriteBytes);
-  charge(sim::ops::kPrimitives, tally.primitives);
-  result.counters.increment(sim::ops::kPairsProcessed, pairs);
+  // The frame's totals, counted once.
+  for (std::size_t o = 0; o < kGaussianOutcomes; ++o) {
+    result.counters += kGaussianPairOps[o] * tally.outcomes[o];
+  }
+  result.counters += kPairStateBytes * pairs;
+  result.counters.buf_read_bytes +=
+      tally.primitives * gaussian_primitive_bytes(config_.precision);
+  result.counters.primitives = tally.primitives;
 
   result.timing = run_design_timeline(tile_loads, config_);
   result.tile_loads = std::move(tile_loads);
@@ -145,19 +136,23 @@ HwRasterResult HardwareRasterizer::rasterize_triangles(
   const std::size_t px_bytes = pixel_state_bytes(config_.precision);
 
   // Bin primitives to tiles by bounding box (primitive order preserved, so
-  // z-buffer tie-breaking matches the reference renderer).
+  // z-buffer tie-breaking matches the reference renderer). The span floors,
+  // so a triangle wholly left of or above the frame bins to no tile.
   std::vector<std::vector<std::uint32_t>> bins(
       static_cast<std::size_t>(tiles_x) * static_cast<std::size_t>(tiles_y));
+  const auto tile_of = [ts](float coord) {
+    return static_cast<int>(std::floor(coord / static_cast<float>(ts)));
+  };
   for (std::uint32_t p = 0; p < prims.size(); ++p) {
     const mesh::ScreenTriangle& tri = prims[p];
     const float min_x = std::min({tri.p0.x, tri.p1.x, tri.p2.x});
     const float max_x = std::max({tri.p0.x, tri.p1.x, tri.p2.x});
     const float min_y = std::min({tri.p0.y, tri.p1.y, tri.p2.y});
     const float max_y = std::max({tri.p0.y, tri.p1.y, tri.p2.y});
-    const int tx0 = std::max(0, static_cast<int>(min_x) / ts);
-    const int tx1 = std::min(tiles_x - 1, static_cast<int>(max_x) / ts);
-    const int ty0 = std::max(0, static_cast<int>(min_y) / ts);
-    const int ty1 = std::min(tiles_y - 1, static_cast<int>(max_y) / ts);
+    const int tx0 = std::max(0, tile_of(min_x));
+    const int tx1 = std::min(tiles_x - 1, tile_of(max_x));
+    const int ty0 = std::max(0, tile_of(min_y));
+    const int ty1 = std::min(tiles_y - 1, tile_of(max_y));
     for (int ty = ty0; ty <= ty1; ++ty) {
       for (int tx = tx0; tx <= tx1; ++tx) {
         bins[static_cast<std::size_t>(ty) * static_cast<std::size_t>(tiles_x) +
@@ -165,8 +160,8 @@ HwRasterResult HardwareRasterizer::rasterize_triangles(
             .push_back(p);
       }
     }
-    pe_triangle_setup(result.counters);
   }
+  result.counters += kTriangleSetupOps * prims.size();
 
   std::vector<TileLoad> tile_loads;
   std::vector<float> depth(static_cast<std::size_t>(width) *
@@ -183,7 +178,8 @@ HwRasterResult HardwareRasterizer::rasterize_triangles(
       load.fill_bytes = bin.size() * prim_bytes +
                         static_cast<std::uint64_t>(config_.pixels_per_tile()) *
                             px_bytes;
-      result.counters.increment(sim::ops::kBufRead, bin.size() * prim_bytes);
+      result.counters.buf_read_bytes += bin.size() * prim_bytes;
+      result.counters.primitives += bin.size();
 
       const int px0 = tx * ts;
       const int py0 = ty * ts;
@@ -202,18 +198,14 @@ HwRasterResult HardwareRasterizer::rasterize_triangles(
                              result.counters);
             ++load.pairs;
             ++result.pairs_evaluated;
-            result.counters.increment(sim::ops::kBufRead, kPairStateReadBytes);
-            result.counters.increment(sim::ops::kBufWrite,
-                                      kPairStateWriteBytes);
           }
         }
       }
-      result.counters.increment(sim::ops::kPrimitives, bin.size());
       tile_loads.push_back(std::move(load));
     }
   }
   result.pairs_blended = result.pairs_evaluated;
-  result.counters.increment(sim::ops::kPairsProcessed, result.pairs_evaluated);
+  result.counters += kPairStateBytes * result.pairs_evaluated;
   result.timing = run_design_timeline(tile_loads, config_);
   result.tile_loads = std::move(tile_loads);
   return result;

@@ -14,14 +14,13 @@
 #include "gsmath/image.hpp"
 #include "mesh/raster.hpp"
 #include "pipeline/rasterize.hpp"
-#include "sim/counters.hpp"
 
 namespace gaurast::core {
 
 struct HwRasterResult {
   Image image;
   DesignTimelineResult timing;
-  sim::CounterSet counters;
+  OpCounts counters;
   std::uint64_t pairs_evaluated = 0;
   std::uint64_t pairs_blended = 0;
   /// The tile-load sequence the timing was computed from; persist with

@@ -10,9 +10,10 @@
 //
 // The functional arithmetic is byte-identical to the software pipelines
 // (pipeline/rasterize.hpp, mesh/raster.hpp) so hardware-model images match
-// the software reference exactly; retired operations are tallied into a
-// CounterSet using the *hardware* op inventory (incremental edge evaluation
-// for triangles), which feeds the energy model. Gaussian mode tallies by
+// the software reference exactly; retired operations are tallied into an
+// OpCounts using the *hardware* op inventory (incremental edge evaluation
+// for triangles), which feeds the energy model. Every per-pair and
+// per-primitive cost is one OpCounts row below. Gaussian mode tallies by
 // branch outcome: the datapath reports which branch a pair took, and a
 // frame's op counts are its outcome counts times kGaussianPairOps.
 #pragma once
@@ -26,7 +27,6 @@
 #include "core/config.hpp"
 #include "mesh/raster.hpp"
 #include "pipeline/rasterize.hpp"
-#include "sim/counters.hpp"
 
 namespace gaurast::core {
 
@@ -55,39 +55,41 @@ enum class GaussianOutcome : std::uint8_t {
 };
 inline constexpr std::size_t kGaussianOutcomes = 3;
 
-/// Datapath ops one Gaussian pair retires.
-struct GaussianPairOps {
-  std::uint64_t adds = 0;
-  std::uint64_t muls = 0;
-  std::uint64_t exps = 0;
-  std::uint64_t cmps = 0;
-};
-
 /// Ops per Gaussian pair by outcome (paper Table II), indexed by
 /// GaussianOutcome: the one statement of Gaussian-mode op costs, read by
 /// the hardware model's tally, the energy model and the unit tests.
-inline constexpr std::array<GaussianPairOps, kGaussianOutcomes>
-    kGaussianPairOps{{
-        // Guarded: 2 shift + 2 power sum; 6 quadratic form; the guard.
-        {4, 6, 0, 1},
-        // Rejected: + opacity * exp; the exp unit; + clamp and threshold.
-        {4, 7, 1, 3},
-        // Blended: + 3 accumulate + (1 - alpha); + T * alpha, 3 color
-        // scales and the T update.
-        {8, 12, 1, 3},
-    }};
+inline constexpr std::array<OpCounts, kGaussianOutcomes> kGaussianPairOps{{
+    // Guarded: 2 shift + 2 power sum; 6 quadratic form; the guard.
+    {.adds = 4, .muls = 6, .cmps = 1},
+    // Rejected: + opacity * exp; the exp unit; + clamp and threshold.
+    {.adds = 4, .muls = 7, .exps = 1, .cmps = 3},
+    // Blended: + 3 accumulate + (1 - alpha); + T * alpha, 3 color scales
+    // and the T update.
+    {.adds = 8, .muls = 12, .exps = 1, .cmps = 3},
+}};
 
-constexpr const GaussianPairOps& gaussian_pair_ops(GaussianOutcome outcome) {
+constexpr const OpCounts& gaussian_pair_ops(GaussianOutcome outcome) {
   return kGaussianPairOps[static_cast<std::size_t>(outcome)];
 }
 
 /// Pair counts indexed by GaussianOutcome.
 using GaussianOutcomeCounts = std::array<std::uint64_t, kGaussianOutcomes>;
 
-/// Charges every outcome's op row times its pair count to `counters`. A
-/// counter is touched only when its total is non-zero.
-void charge_gaussian_ops(const GaussianOutcomeCounts& pairs,
-                         sim::CounterSet& counters);
+/// Triangle-mode ops per pair (incremental edge form). A pixel the
+/// triangle misses pays 3 edge increments and 3 inside tests.
+inline constexpr OpCounts kTriangleMissOps{.adds = 3, .cmps = 3};
+/// A covered pixel pays the miss row plus barycentric weights (3 muls by
+/// 1/2A from setup), attribute interpolation (depth and color on the shared
+/// units: 6 muls, 6 adds) and the depth compare.
+inline constexpr OpCounts kTriangleHitOps{.adds = 9, .muls = 9, .cmps = 4};
+/// Per-primitive triangle setup, charged once per primitive in the stream:
+/// 1 / (2 * area) on the divider.
+inline constexpr OpCounts kTriangleSetupOps{.adds = 5, .muls = 2, .divs = 1};
+
+/// Pixel-state read-modify-write traffic per evaluated pair, in either
+/// mode, split evenly between read and write.
+inline constexpr OpCounts kPairStateBytes{.buf_read_bytes = 10,
+                                          .buf_write_bytes = 10};
 
 /// Result of one Gaussian pair evaluation.
 struct GaussianPairResult {
@@ -166,31 +168,20 @@ inline GaussianPairResult gaussian_datapath(
   return result;
 }
 
-/// gaussian_datapath at a run-time precision, charging the taken outcome's
+/// gaussian_datapath at a run-time precision, adding the taken outcome's
 /// op row to `counters`.
 GaussianPairResult pe_gaussian_pair(const pipeline::Splat2D& splat,
                                     Vec2f pixel,
                                     pipeline::PixelBlendState& state,
                                     const pipeline::BlendParams& params,
-                                    Precision precision,
-                                    sim::CounterSet& counters);
+                                    Precision precision, OpCounts& counters);
 
 /// The PE's triangle-mode per-pair operation: coverage test, attribute
-/// interpolation and min-depth color hold against (depth, color).
-/// Returns true when the fragment won the depth test.
+/// interpolation and min-depth color hold against (depth, color), adding
+/// the miss or hit row to `counters`. Returns true when the fragment won
+/// the depth test.
 bool pe_triangle_pair(const mesh::ScreenTriangle& tri, Vec2f pixel,
                       float& depth_state, Vec3f& color_state,
-                      Precision precision, sim::CounterSet& counters);
-
-/// Per-primitive triangle setup cost (the divider use); call once per
-/// triangle entering a PE block.
-void pe_triangle_setup(sim::CounterSet& counters);
-
-/// Op tallies charged per covered triangle pair (incremental edge form).
-struct TrianglePairOps {
-  std::uint64_t adds = 9;  ///< 3 edge increments + depth/attr accumulation
-  std::uint64_t muls = 9;  ///< barycentric scale + attribute interpolation
-  std::uint64_t cmps = 4;  ///< 3 inside tests + depth compare
-};
+                      Precision precision, OpCounts& counters);
 
 }  // namespace gaurast::core

@@ -7,19 +7,18 @@
 
 namespace gaurast::core {
 
-sim::Cycle tile_compute_cycles(const TileLoad& tile,
-                               const RasterizerConfig& config) {
+Cycle tile_compute_cycles(const TileLoad& tile,
+                          const RasterizerConfig& config) {
   if (tile.pairs == 0) return 0;
   const auto rate = static_cast<std::uint64_t>(config.pes_per_module) *
                     static_cast<std::uint64_t>(config.pairs_per_cycle_per_pe());
   return (tile.pairs + rate - 1) / rate +
-         static_cast<sim::Cycle>(config.pipeline_depth);
+         static_cast<Cycle>(config.pipeline_depth);
 }
 
-sim::Cycle tile_fill_cycles(const TileLoad& tile,
-                            const RasterizerConfig& config) {
+Cycle tile_fill_cycles(const TileLoad& tile, const RasterizerConfig& config) {
   if (tile.fill_bytes == 0) return 0;
-  const auto transfer = static_cast<sim::Cycle>(std::ceil(
+  const auto transfer = static_cast<Cycle>(std::ceil(
       static_cast<double>(tile.fill_bytes) / config.mem_bytes_per_cycle));
   return transfer + config.mem_latency;
 }
@@ -28,21 +27,21 @@ ModuleTimelineResult run_module_timeline(const std::vector<TileLoad>& tiles,
                                          const RasterizerConfig& config) {
   ModuleTimelineResult result;
   // buffer_free[i]: cycle at which ping-pong buffer i can accept a new fill.
-  sim::Cycle buffer_free[2] = {0, 0};
-  sim::Cycle mem_free = 0;  // memory interface serializes transfers
-  sim::Cycle pe_free = 0;   // PE block serializes tile computes
+  Cycle buffer_free[2] = {0, 0};
+  Cycle mem_free = 0;  // memory interface serializes transfers
+  Cycle pe_free = 0;   // PE block serializes tile computes
   for (std::size_t i = 0; i < tiles.size(); ++i) {
     const int buf = static_cast<int>(i & 1);
-    const sim::Cycle fill_start = std::max(buffer_free[buf], mem_free);
-    const sim::Cycle fill = tile_fill_cycles(tiles[i], config);
-    const sim::Cycle fill_done = fill_start + fill;
+    const Cycle fill_start = std::max(buffer_free[buf], mem_free);
+    const Cycle fill = tile_fill_cycles(tiles[i], config);
+    const Cycle fill_done = fill_start + fill;
     // The fixed access latency pipelines with the next transfer; only the
     // byte transfer occupies the memory interface.
     if (fill > 0) mem_free = fill_done - config.mem_latency;
-    const sim::Cycle compute = tile_compute_cycles(tiles[i], config);
-    const sim::Cycle compute_start = std::max(fill_done, pe_free);
+    const Cycle compute = tile_compute_cycles(tiles[i], config);
+    const Cycle compute_start = std::max(fill_done, pe_free);
     if (compute_start > pe_free) result.stall_cycles += compute_start - pe_free;
-    const sim::Cycle compute_done = compute_start + compute;
+    const Cycle compute_done = compute_start + compute;
     pe_free = compute_done;
     buffer_free[buf] = compute_done;  // buffer released when drained
     result.compute_cycles += compute;

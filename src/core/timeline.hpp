@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "sim/cycle.hpp"
 
 namespace gaurast::core {
 
@@ -32,19 +31,18 @@ struct TileLoad {
 
 /// Timing result for one module's tile sequence.
 struct ModuleTimelineResult {
-  sim::Cycle busy_cycles = 0;     ///< cycle the last compute retires
-  sim::Cycle compute_cycles = 0;  ///< sum of per-tile compute times
-  sim::Cycle stall_cycles = 0;    ///< compute waiting on fills
+  Cycle busy_cycles = 0;     ///< cycle the last compute retires
+  Cycle compute_cycles = 0;  ///< sum of per-tile compute times
+  Cycle stall_cycles = 0;    ///< compute waiting on fills
   std::uint64_t pairs = 0;
 };
 
 /// Computes one tile's PE-block compute cycles for a config.
-sim::Cycle tile_compute_cycles(const TileLoad& tile,
-                               const RasterizerConfig& config);
+Cycle tile_compute_cycles(const TileLoad& tile,
+                          const RasterizerConfig& config);
 
 /// Computes one tile's fill cycles through the module's memory interface.
-sim::Cycle tile_fill_cycles(const TileLoad& tile,
-                            const RasterizerConfig& config);
+Cycle tile_fill_cycles(const TileLoad& tile, const RasterizerConfig& config);
 
 /// Runs the ping-pong timeline for one module over its tile sequence.
 ModuleTimelineResult run_module_timeline(const std::vector<TileLoad>& tiles,
@@ -53,11 +51,11 @@ ModuleTimelineResult run_module_timeline(const std::vector<TileLoad>& tiles,
 /// Dispatches tiles across all modules (greedy earliest-available, matching
 /// the dispatch controller) and returns the whole-design makespan.
 struct DesignTimelineResult {
-  sim::Cycle makespan_cycles = 0;
+  Cycle makespan_cycles = 0;
   double runtime_ms = 0.0;
   double utilization = 0.0;  ///< pairs / (makespan * peak pair rate)
   std::uint64_t pairs = 0;
-  sim::Cycle stall_cycles = 0;  ///< summed over modules
+  Cycle stall_cycles = 0;  ///< summed over modules
 };
 
 DesignTimelineResult run_design_timeline(const std::vector<TileLoad>& tiles,

@@ -15,6 +15,12 @@
 //   breaker                 injected consecutive failures kill a shard,
 //                           and the prober's first success after the
 //                           re-admission cooldown brings it back;
+//   router shed             one forwarder and one queue slot in front of
+//                           a slow shard: the overflow of four concurrent
+//                           requests is shed kOverloaded by the router, and
+//                           each shed is counted once;
+//   stop drain              Router::stop() with four forwards in flight
+//                           answers every one and returns, within a bound;
 //   crash-loop              a worker process armed (via GAURAST_FAULT_PLAN,
 //                           the env inheritance a spawned fleet really
 //                           uses) to _exit mid-respond is reaped and
@@ -25,9 +31,11 @@
 // unless ctest exported its path as GAURAST_CLI.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -159,13 +167,18 @@ class SlowBackend : public engine::RenderBackend {
                              const scene::Camera& camera,
                              const engine::FrameOptions& options)
       const override {
+    started_.fetch_add(1, std::memory_order_release);
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
     return sw_.render(scene, camera, options);
   }
 
+  /// Renders entered so far.
+  int started() const { return started_.load(std::memory_order_acquire); }
+
  private:
   engine::SoftwareBackend sw_;
   int delay_ms_ = 0;
+  mutable std::atomic<int> started_{0};
 };
 
 /// An in-process fleet: N real net::Servers over their own RenderServices,
@@ -380,6 +393,117 @@ TEST(Chaos, BreakerOpensUnderFailuresAndProberRecloses) {
   }
   EXPECT_EQ(*fleet.db().route(wire.scene), victim);
   EXPECT_EQ(client.render(wire).status, net::RenderStatus::kOk);
+}
+
+/// Sends one request per pre-dialed connection, all at once, and returns
+/// the answers in connection order with the time each arrived.
+struct Answer {
+  net::RenderResponse response;
+  std::chrono::steady_clock::time_point at;
+  std::string error;  ///< what the client threw, if it threw
+};
+std::vector<Answer> render_concurrently(int port, int clients,
+                                        std::uint64_t seed,
+                                        const std::function<void()>& during) {
+  std::vector<std::unique_ptr<net::Client>> conns;
+  for (int i = 0; i < clients; ++i) {
+    conns.push_back(std::make_unique<net::Client>("127.0.0.1", port));
+  }
+  std::vector<Answer> answers(static_cast<std::size_t>(clients));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < clients; ++i) {
+    threads.emplace_back([&, i] {
+      net::RenderRequest wire = net::default_render_request(600, seed, 64, 48);
+      wire.request_id = static_cast<std::uint64_t>(i);
+      Answer& answer = answers[static_cast<std::size_t>(i)];
+      try {
+        answer.response = conns[static_cast<std::size_t>(i)]->render(wire);
+      } catch (const std::exception& e) {
+        answer.error = e.what();
+      }
+      answer.at = std::chrono::steady_clock::now();
+    });
+  }
+  during();
+  for (std::thread& t : threads) t.join();
+  return answers;
+}
+
+TEST(Chaos, RouterShedsBeyondItsQueueAndCountsEachShed) {
+  // One forwarder and one waiting slot in front of a 200 ms shard: four
+  // concurrent requests on one scene cannot all fit, so the router itself
+  // sheds the overflow with kOverloaded, and counts each shed once.
+  runtime::ServiceConfig service_config;
+  service_config.backend_instance = std::make_shared<SlowBackend>(200);
+  RouterConfig router_config;
+  router_config.inflight_per_shard = 1;
+  router_config.queue_per_shard = 1;
+  Fleet fleet(1, service_config, router_config);
+
+  const std::vector<Answer> answers =
+      render_concurrently(fleet.router_port(), 4, 3, [] {});
+  std::uint64_t shed = 0;
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    ASSERT_EQ(answers[i].error, "") << "request " << i;
+    const net::RenderResponse& resp = answers[i].response;
+    EXPECT_EQ(resp.request_id, i);
+    if (resp.status == net::RenderStatus::kOverloaded) {
+      EXPECT_NE(resp.message.find("at capacity"), std::string::npos)
+          << resp.message;
+      ++shed;
+    } else {
+      EXPECT_EQ(resp.status, net::RenderStatus::kOk) << resp.message;
+    }
+  }
+  EXPECT_GE(shed, 1u) << "four requests fit one forwarder and one slot";
+  EXPECT_EQ(fleet.router().stats_snapshot().shed, shed);
+}
+
+TEST(Chaos, RouterStopAnswersEveryInFlightForward) {
+  // stop() while four forwards wait on a 200 ms shard: the drain answers
+  // every one of them before the router closes its connections, and stop()
+  // itself returns — both within kBoundMs of the call.
+  constexpr int kClients = 4;
+  constexpr std::int64_t kBoundMs = 2000;
+  const auto slow = std::make_shared<SlowBackend>(200);
+  runtime::ServiceConfig service_config;
+  service_config.workers = kClients;
+  service_config.backend_instance = slow;
+  RouterConfig router_config;
+  router_config.inflight_per_shard = kClients;
+  Fleet fleet(1, service_config, router_config);
+
+  const auto ms_after = [](std::chrono::steady_clock::time_point from,
+                           std::chrono::steady_clock::time_point to) {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(to - from)
+        .count();
+  };
+  std::chrono::steady_clock::time_point stop_called;
+  std::int64_t stop_ms = 0;
+  const std::vector<Answer> answers = render_concurrently(
+      fleet.router_port(), kClients, 5, [&] {
+        // Every render has started on the shard: each request was admitted
+        // and is in flight through its own forwarder.
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (slow->started() < kClients &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        stop_called = std::chrono::steady_clock::now();
+        fleet.router().stop();
+        stop_ms = ms_after(stop_called, std::chrono::steady_clock::now());
+      });
+  ASSERT_EQ(slow->started(), kClients) << "forwards never all in flight";
+  EXPECT_LE(stop_ms, kBoundMs);
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    ASSERT_EQ(answers[i].error, "") << "request " << i;
+    const net::RenderResponse& resp = answers[i].response;
+    EXPECT_EQ(resp.status, net::RenderStatus::kOk) << resp.message;
+    EXPECT_EQ(resp.request_id, i);
+    EXPECT_LE(ms_after(stop_called, answers[i].at), kBoundMs)
+        << "request " << i;
+  }
 }
 
 TEST(Chaos, CrashLoopingWorkerIsRelaunchedAndServesAgain) {

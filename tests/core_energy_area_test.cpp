@@ -33,30 +33,38 @@ TEST(EnergyModel, Fp16ModuleDrawsLess) {
 
 TEST(EnergyModel, FromCountersSumsComponents) {
   const EnergyModel energy(RasterizerConfig::prototype16());
-  sim::CounterSet counters;
-  counters.increment(sim::ops::kFp32Add, 1000);
-  counters.increment(sim::ops::kFp32Mul, 1000);
-  counters.increment(sim::ops::kBufRead, 5000);
+  const OpCounts counters{.adds = 1000,
+                          .muls = 1000,
+                          .divs = 10,
+                          .exps = 100,
+                          .cmps = 1000,
+                          .buf_read_bytes = 5000,
+                          .buf_write_bytes = 3000};
   const EnergyBreakdown e = energy.from_counters(counters, 1.0);
-  EXPECT_GT(e.datapath_mj, 0.0);
-  EXPECT_GT(e.buffer_mj, 0.0);
+  // Every op kind and both traffic directions are priced at their unit
+  // energy.
+  const EnergyTable& t = energy.table();
+  const double overhead = 1.0 + t.control_overhead;
+  EXPECT_DOUBLE_EQ(e.datapath_mj,
+                   (1000 * t.fp_add_pj + 1000 * t.fp_mul_pj + 10 * t.fp_div_pj +
+                    100 * t.fp_exp_pj + 1000 * t.fp_cmp_pj) *
+                       overhead * 1e-9);
+  EXPECT_DOUBLE_EQ(e.buffer_mj, 8000 * t.sram_pj_per_byte * overhead * 1e-9);
   EXPECT_GT(e.leakage_mj, 0.0);
   EXPECT_NEAR(e.total_mj(), e.datapath_mj + e.buffer_mj + e.leakage_mj, 1e-15);
 }
 
 TEST(EnergyModel, EnergyMonotoneInOps) {
   const EnergyModel energy(RasterizerConfig::prototype16());
-  sim::CounterSet a, b;
-  a.increment(sim::ops::kFp32Mul, 1000);
-  b.increment(sim::ops::kFp32Mul, 2000);
+  const OpCounts a{.muls = 1000};
+  const OpCounts b{.muls = 2000};
   EXPECT_LT(energy.from_counters(a, 1.0).datapath_mj,
             energy.from_counters(b, 1.0).datapath_mj);
 }
 
 TEST(EnergyModel, SocNodeScaleShrinksEnergy) {
   const EnergyModel energy(RasterizerConfig::prototype16());
-  sim::CounterSet counters;
-  counters.increment(sim::ops::kFp32Mul, 100000);
+  const OpCounts counters{.muls = 100000};
   const EnergyBreakdown proto = energy.from_counters(counters, 1.0);
   const EnergyBreakdown soc = energy.at_soc_node(proto);
   EXPECT_NEAR(soc.total_mj() / proto.total_mj(),
@@ -85,11 +93,6 @@ TEST(EnergyModel, BlendedFractionRaisesEnergy) {
 TEST(EnergyModel, InvalidBlendFractionThrows) {
   const EnergyModel energy(RasterizerConfig::prototype16());
   EXPECT_THROW(energy.from_pair_statistics(100, 1.5, 0, 1.0), Error);
-}
-
-TEST(EnergyModel, UnknownOpNameThrows) {
-  const EnergyModel energy(RasterizerConfig::prototype16());
-  EXPECT_THROW(energy.op_energy_pj("bogus.op"), Error);
 }
 
 // ---------------------------------------------------------------- Area --

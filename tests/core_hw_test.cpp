@@ -5,12 +5,14 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "core/hw_rasterizer.hpp"
+#include "core/pe.hpp"
 #include "mesh/primitives.hpp"
 #include "pipeline/renderer.hpp"
 #include "scene/generator.hpp"
@@ -116,10 +118,11 @@ TEST(HwGaussian, CountersPopulated) {
   const HardwareRasterizer hw(RasterizerConfig::prototype16());
   const HwRasterResult r = hw.rasterize_gaussians(
       wb.frame.splats, wb.frame.workload, wb.renderer.config().blend);
-  EXPECT_GT(r.counters.get(sim::ops::kFp32Mul), r.pairs_evaluated * 6);
-  EXPECT_GT(r.counters.get(sim::ops::kBufRead), 0u);
-  EXPECT_EQ(r.counters.get(sim::ops::kPairsProcessed), r.pairs_evaluated);
-  EXPECT_EQ(r.counters.get(sim::ops::kFp32Div), 0u);
+  EXPECT_GT(r.counters.muls, r.pairs_evaluated * 6);
+  EXPECT_GT(r.counters.buf_read_bytes, 0u);
+  EXPECT_EQ(r.counters.buf_write_bytes,
+            r.pairs_evaluated * kPairStateBytes.buf_write_bytes);
+  EXPECT_EQ(r.counters.divs, 0u);
 }
 
 // ------------------------------------------------------- Golden frames --
@@ -156,6 +159,27 @@ pipeline::BlendParams blend_tight() {
 
 using CounterMap = std::map<std::string, std::uint64_t, std::less<>>;
 
+/// A frame's op counts under the counter names they were recorded with:
+/// each non-zero OpCounts field, plus pe.pairs from pairs_evaluated.
+CounterMap recorded_counters(const HwRasterResult& r) {
+  const OpCounts& c = r.counters;
+  const std::pair<const char*, std::uint64_t> fields[] = {
+      {"fp32.add", c.adds},
+      {"fp32.mul", c.muls},
+      {"fp32.div", c.divs},
+      {"fp32.exp", c.exps},
+      {"fp32.cmp", c.cmps},
+      {"buf.read", c.buf_read_bytes},
+      {"buf.write", c.buf_write_bytes},
+      {"pe.primitives", c.primitives}};
+  CounterMap map;
+  for (const auto& [name, count] : fields) {
+    if (count != 0) map.emplace(name, count);
+  }
+  map.emplace("pe.pairs", r.pairs_evaluated);
+  return map;
+}
+
 /// One hardware frame's modeled outputs, recorded from the per-op counting
 /// PE walk. Restructuring the hardware model must reproduce every value.
 struct GoldenFrame {
@@ -168,8 +192,8 @@ struct GoldenFrame {
   std::size_t tile_loads;
   std::uint64_t tile_pairs;
   std::uint64_t fill_bytes;
-  sim::Cycle makespan_cycles;
-  sim::Cycle stall_cycles;
+  Cycle makespan_cycles;
+  Cycle stall_cycles;
   std::uint64_t image_hash;
 };
 
@@ -247,7 +271,7 @@ TEST(HwGaussian, GoldenFramesReproduceRecordedModel) {
     SCOPED_TRACE(g.name);
     const HwRasterResult r = HardwareRasterizer(g.config).rasterize_gaussians(
         splats, wb.frame.workload, g.blend);
-    EXPECT_EQ(r.counters.all(), g.counters);
+    EXPECT_EQ(recorded_counters(r), g.counters);
     EXPECT_EQ(r.pairs_evaluated, g.pairs_evaluated);
     EXPECT_EQ(r.pairs_blended, g.pairs_blended);
     std::uint64_t tile_pairs = 0, fill_bytes = 0;
@@ -315,8 +339,35 @@ TEST(HwTriangle, DividerCountMatchesPrimitiveCount) {
   const HardwareRasterizer hw(RasterizerConfig::prototype16());
   const HwRasterResult r =
       hw.rasterize_triangles(prims, 96, 72, {0, 0, 0});
-  EXPECT_EQ(r.counters.get(sim::ops::kFp32Div), prims.size());
-  EXPECT_EQ(r.counters.get(sim::ops::kFp32Exp), 0u);
+  EXPECT_EQ(r.counters.divs, prims.size());
+  EXPECT_EQ(r.counters.exps, 0u);
+}
+
+TEST(HwTriangle, OffscreenLeftOrAboveBinsToNoTile) {
+  // Wholly left of / above the frame by less than one tile: truncating
+  // toward zero would bin each into tile column / row 0.
+  const auto make_tri = [](Vec2f p0, Vec2f p1, Vec2f p2) {
+    mesh::ScreenTriangle tri;
+    tri.p0 = p0;
+    tri.p1 = p1;
+    tri.p2 = p2;
+    tri.inv_double_area = 1.0f / mesh::edge_function(p0, p1, p2);
+    tri.z0 = tri.z1 = tri.z2 = 1.0f;
+    tri.c0 = tri.c1 = tri.c2 = {1, 1, 1};
+    return tri;
+  };
+  const Vec3f bg{0.5f, 0.6f, 0.7f};
+  const HardwareRasterizer hw(RasterizerConfig::prototype16());
+  for (const mesh::ScreenTriangle& tri :
+       {make_tri({-12, 10}, {-2, 10}, {-7, 20}),
+        make_tri({10, -12}, {20, -2}, {10, -2})}) {
+    const HwRasterResult r = hw.rasterize_triangles({tri}, 64, 48, bg);
+    EXPECT_EQ(r.pairs_evaluated, 0u);
+    EXPECT_TRUE(r.tile_loads.empty());
+    EXPECT_EQ(r.counters.primitives, 0u);
+    EXPECT_EQ(r.timing.makespan_cycles, 0u);
+    EXPECT_EQ(r.image.max_abs_diff(Image(64, 48, bg)), 0.0f);
+  }
 }
 
 TEST(HwTriangle, InvalidDimensionsThrow) {

@@ -32,7 +32,7 @@ pipeline::Splat2D random_splat(Pcg32& rng) {
 TEST(PeGaussian, MatchesSoftwareReferenceExactly) {
   Pcg32 rng(2024);
   const pipeline::BlendParams params;
-  sim::CounterSet counters;
+  OpCounts counters;
   for (int i = 0; i < 2000; ++i) {
     const pipeline::Splat2D s = random_splat(rng);
     const Vec2f pixel{static_cast<float>(rng.uniform(0, 32)),
@@ -66,7 +66,7 @@ TEST(PeGaussian, AlphaClampedToMax) {
   s.color = {1, 1, 1};
   pipeline::BlendParams params;
   pipeline::PixelBlendState state;
-  sim::CounterSet counters;
+  OpCounts counters;
   const GaussianPairResult r =
       pe_gaussian_pair(s, {0, 0}, state, params, Precision::kFp32, counters);
   EXPECT_FLOAT_EQ(r.alpha, params.alpha_max);
@@ -79,7 +79,7 @@ TEST(PeGaussian, FarPixelRejectsWithoutBlend) {
   s.opacity = 0.9f;
   pipeline::BlendParams params;
   pipeline::PixelBlendState state;
-  sim::CounterSet counters;
+  OpCounts counters;
   const GaussianPairResult r =
       pe_gaussian_pair(s, {100, 100}, state, params, Precision::kFp32,
                        counters);
@@ -95,17 +95,13 @@ TEST(PeGaussian, OpCountsMatchInventoryForBlendedPair) {
   s.color = {0.2f, 0.3f, 0.4f};
   pipeline::BlendParams params;
   pipeline::PixelBlendState state;
-  sim::CounterSet counters;
+  OpCounts counters;
   const GaussianPairResult r =
       pe_gaussian_pair(s, {0.3f, 0.2f}, state, params, Precision::kFp32,
                        counters);
   ASSERT_TRUE(r.blended());
-  const GaussianPairOps& ops = gaussian_pair_ops(GaussianOutcome::kBlended);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Add), ops.adds);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Mul), ops.muls);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Exp), ops.exps);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Cmp), ops.cmps);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Div), 0u);  // no divider in Gaussian mode
+  EXPECT_EQ(counters, gaussian_pair_ops(GaussianOutcome::kBlended));
+  EXPECT_EQ(counters.divs, 0u);  // no divider in Gaussian mode
 }
 
 TEST(PeGaussian, RejectedPairCountsFewerOps) {
@@ -115,11 +111,10 @@ TEST(PeGaussian, RejectedPairCountsFewerOps) {
   s.opacity = 0.9f;
   pipeline::BlendParams params;
   pipeline::PixelBlendState state;
-  sim::CounterSet counters;
+  OpCounts counters;
   pe_gaussian_pair(s, {50, 50}, state, params, Precision::kFp32, counters);
-  EXPECT_LT(counters.get(sim::ops::kFp32Mul),
-            gaussian_pair_ops(GaussianOutcome::kBlended).muls);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Add), 4u);  // shift + power sum only
+  EXPECT_LT(counters.muls, gaussian_pair_ops(GaussianOutcome::kBlended).muls);
+  EXPECT_EQ(counters.adds, 4u);  // shift + power sum only
 }
 
 TEST(PeGaussian, GuardedPairStopsBeforeExp) {
@@ -130,21 +125,18 @@ TEST(PeGaussian, GuardedPairStopsBeforeExp) {
   s.color = {1, 1, 1};
   pipeline::BlendParams params;
   pipeline::PixelBlendState state;
-  sim::CounterSet counters;
+  OpCounts counters;
   const GaussianPairResult r =
       pe_gaussian_pair(s, {1, 1}, state, params, Precision::kFp32, counters);
   EXPECT_EQ(r.outcome, GaussianOutcome::kGuarded);
   EXPECT_EQ(state.transmittance, 1.0f);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Add), 4u);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Mul), 6u);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Cmp), 1u);
-  EXPECT_EQ(counters.all().count(sim::ops::kFp32Exp), 0u);
+  EXPECT_EQ(counters, (OpCounts{.adds = 4, .muls = 6, .cmps = 1}));
 }
 
 TEST(PeGaussian, Fp16DiffersFromFp32ButStaysClose) {
   Pcg32 rng(7);
   const pipeline::BlendParams params;
-  sim::CounterSet counters;
+  OpCounts counters;
   int diff_count = 0;
   for (int i = 0; i < 300; ++i) {
     const pipeline::Splat2D s = random_splat(rng);
@@ -163,7 +155,7 @@ TEST(PeGaussian, Fp16DiffersFromFp32ButStaysClose) {
 TEST(PeGaussian, TransmittanceNeverNegative) {
   Pcg32 rng(11);
   const pipeline::BlendParams params;
-  sim::CounterSet counters;
+  OpCounts counters;
   pipeline::PixelBlendState state;
   for (int i = 0;
        i < 500 && !(state.transmittance < params.transmittance_min); ++i) {
@@ -188,7 +180,7 @@ TEST(PeTriangle, MatchesReferenceFragment) {
   tri.c0 = {1, 0, 0};
   tri.c1 = {0, 1, 0};
   tri.c2 = {0, 0, 1};
-  sim::CounterSet counters;
+  OpCounts counters;
   float depth = std::numeric_limits<float>::infinity();
   Vec3f color{0, 0, 0};
   ASSERT_TRUE(pe_triangle_pair(tri, {16, 12}, depth, color,
@@ -206,7 +198,7 @@ TEST(PeTriangle, DepthTestHoldsNearest) {
   tri.inv_double_area = 1.0f / mesh::edge_function(tri.p0, tri.p1, tri.p2);
   tri.z0 = tri.z1 = tri.z2 = 5.0f;
   tri.c0 = tri.c1 = tri.c2 = {1, 0, 0};
-  sim::CounterSet counters;
+  OpCounts counters;
   float depth = 2.0f;  // something nearer already drawn
   Vec3f color{0, 1, 0};
   EXPECT_FALSE(pe_triangle_pair(tri, {4, 4}, depth, color, Precision::kFp32,
@@ -221,18 +213,18 @@ TEST(PeTriangle, OutsidePixelDoesNotTouchState) {
   tri.p1 = {4, 0};
   tri.p2 = {0, 4};
   tri.inv_double_area = 1.0f / mesh::edge_function(tri.p0, tri.p1, tri.p2);
-  sim::CounterSet counters;
+  OpCounts counters;
   float depth = std::numeric_limits<float>::infinity();
   Vec3f color{0.1f, 0.2f, 0.3f};
   EXPECT_FALSE(pe_triangle_pair(tri, {50, 50}, depth, color, Precision::kFp32,
                                 counters));
   EXPECT_EQ(color, (Vec3f{0.1f, 0.2f, 0.3f}));
+  // A miss retires only the edge increments and inside tests.
+  EXPECT_EQ(counters, (OpCounts{.adds = 3, .cmps = 3}));
 }
 
 TEST(PeTriangle, SetupUsesDivider) {
-  sim::CounterSet counters;
-  pe_triangle_setup(counters);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Div), 1u);
+  EXPECT_EQ(kTriangleSetupOps, (OpCounts{.adds = 5, .muls = 2, .divs = 1}));
 }
 
 TEST(PeTriangle, CoveredPairOpsMatchInventory) {
@@ -241,15 +233,13 @@ TEST(PeTriangle, CoveredPairOpsMatchInventory) {
   tri.p1 = {20, 0};
   tri.p2 = {0, 20};
   tri.inv_double_area = 1.0f / mesh::edge_function(tri.p0, tri.p1, tri.p2);
-  sim::CounterSet counters;
+  OpCounts counters;
   float depth = std::numeric_limits<float>::infinity();
   Vec3f color;
   pe_triangle_pair(tri, {4, 4}, depth, color, Precision::kFp32, counters);
-  const TrianglePairOps ops{};
-  EXPECT_EQ(counters.get(sim::ops::kFp32Add), ops.adds);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Mul), ops.muls);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Cmp), ops.cmps);
-  EXPECT_EQ(counters.get(sim::ops::kFp32Exp), 0u);  // no exp in triangle mode
+  // 3 edge increments + 6 depth/attribute adds; 9 barycentric and
+  // interpolation muls; 3 inside tests + the depth compare; no exp.
+  EXPECT_EQ(counters, (OpCounts{.adds = 9, .muls = 9, .cmps = 4}));
 }
 
 TEST(PeResources, InventoryMatchesPaper) {

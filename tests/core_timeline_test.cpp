@@ -47,8 +47,8 @@ TEST(ModuleTimeline, ComputeBoundHidesFills) {
   // after the first.
   std::vector<TileLoad> tiles(10, TileLoad{1600, 640});
   const ModuleTimelineResult r = run_module_timeline(tiles, c);
-  const sim::Cycle first_fill = tile_fill_cycles(tiles[0], c);
-  const sim::Cycle compute = tile_compute_cycles(tiles[0], c);
+  const Cycle first_fill = tile_fill_cycles(tiles[0], c);
+  const Cycle compute = tile_compute_cycles(tiles[0], c);
   EXPECT_EQ(r.busy_cycles, first_fill + 10 * compute);
   EXPECT_EQ(r.stall_cycles, first_fill);
 }
@@ -116,7 +116,7 @@ TEST(DesignTimeline, InvalidConfigThrows) {
 TEST(DetailedSim, ThrowsOnNonConvergence) {
   const RasterizerConfig c = test_config();
   const std::vector<TileLoad> tiles(4, TileLoad{1600, 2048});
-  const sim::Cycle needed = run_detailed_module_sim(tiles, c).cycles;
+  const Cycle needed = run_detailed_module_sim(tiles, c).cycles;
   ASSERT_GT(needed, 0u);
   EXPECT_EQ(run_detailed_module_sim(tiles, c, needed).cycles, needed);
   EXPECT_THROW(run_detailed_module_sim(tiles, c, needed - 1), Error);

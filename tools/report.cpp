@@ -267,18 +267,17 @@ void measured_ops(const Rows&, std::ostream& os) {
   TablePrinter ops({"Mode", "pairs", "ADD/pair", "MUL/pair", "EXP/pair",
                     "DIV total", "CMP/pair"});
   const auto add_mode = [&](const char* mode, const core::HwRasterResult& r) {
-    const auto per = [&](const char* op) {
+    const auto per = [&](std::uint64_t count) {
       const std::uint64_t pairs = r.pairs_evaluated;
-      return format_fixed(pairs ? static_cast<double>(r.counters.get(op)) /
+      return format_fixed(pairs ? static_cast<double>(count) /
                                       static_cast<double>(pairs)
                                 : 0.0,
                           2);
     };
-    ops.add_row({mode, std::to_string(r.pairs_evaluated),
-                 per(sim::ops::kFp32Add), per(sim::ops::kFp32Mul),
-                 per(sim::ops::kFp32Exp),
-                 std::to_string(r.counters.get(sim::ops::kFp32Div)),
-                 per(sim::ops::kFp32Cmp)});
+    const core::OpCounts& c = r.counters;
+    ops.add_row({mode, std::to_string(r.pairs_evaluated), per(c.adds),
+                 per(c.muls), per(c.exps), std::to_string(c.divs),
+                 per(c.cmps)});
   };
   add_mode("Gaussian", gres);
   add_mode("Triangle", tres);
