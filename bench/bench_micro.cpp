@@ -2,7 +2,8 @@
 // datapath throughput (`pe_gaussian_pair`: 200k pairs, each adding its
 // outcome's row to a `core::OpCounts`), software rasterization (reference
 // vs fast kernel), Step-2 tile binning (`sort_serial` on 1 thread,
-// `sort_parallel` on --threads), preprocessing, the hardware functional
+// `sort_parallel` on --threads), Step-1 preprocessing (`preprocess` on 1
+// thread, `preprocess_mt` on --threads), the hardware functional
 // model, the triangle reference path, the detailed cycle simulator and a
 // scene-store miss (generate, quantize, dequantize). These gauge the
 // *simulator's* host-side performance, not modeled hardware numbers.
@@ -185,6 +186,11 @@ int main(int argc, char** argv) {
 
     bench("preprocess", [&] {
       auto splats = pipeline::preprocess(gscene, camera);
+      (void)splats;
+    });
+    bench("preprocess_mt", [&] {
+      auto splats =
+          pipeline::preprocess(gscene, camera, nullptr, nullptr, threads);
       (void)splats;
     });
 

@@ -143,6 +143,7 @@ HwRasterResult HardwareRasterizer::rasterize_triangles(
   const auto tile_of = [ts](float coord) {
     return static_cast<int>(std::floor(coord / static_cast<float>(ts)));
   };
+  std::uint64_t binned = 0;  // primitives that reach at least one tile
   for (std::uint32_t p = 0; p < prims.size(); ++p) {
     const mesh::ScreenTriangle& tri = prims[p];
     const float min_x = std::min({tri.p0.x, tri.p1.x, tri.p2.x});
@@ -153,6 +154,7 @@ HwRasterResult HardwareRasterizer::rasterize_triangles(
     const int tx1 = std::min(tiles_x - 1, tile_of(max_x));
     const int ty0 = std::max(0, tile_of(min_y));
     const int ty1 = std::min(tiles_y - 1, tile_of(max_y));
+    if (tx0 <= tx1 && ty0 <= ty1) ++binned;
     for (int ty = ty0; ty <= ty1; ++ty) {
       for (int tx = tx0; tx <= tx1; ++tx) {
         bins[static_cast<std::size_t>(ty) * static_cast<std::size_t>(tiles_x) +
@@ -161,7 +163,7 @@ HwRasterResult HardwareRasterizer::rasterize_triangles(
       }
     }
   }
-  result.counters += kTriangleSetupOps * prims.size();
+  result.counters += kTriangleSetupOps * binned;
 
   std::vector<TileLoad> tile_loads;
   std::vector<float> depth(static_cast<std::size_t>(width) *

@@ -82,7 +82,8 @@ inline constexpr OpCounts kTriangleMissOps{.adds = 3, .cmps = 3};
 /// 1/2A from setup), attribute interpolation (depth and color on the shared
 /// units: 6 muls, 6 adds) and the depth compare.
 inline constexpr OpCounts kTriangleHitOps{.adds = 9, .muls = 9, .cmps = 4};
-/// Per-primitive triangle setup, charged once per primitive in the stream:
+/// Per-primitive triangle setup, charged once per primitive that bins to at
+/// least one tile (one that bins to none never reaches a PE block):
 /// 1 / (2 * area) on the divider.
 inline constexpr OpCounts kTriangleSetupOps{.adds = 5, .muls = 2, .divs = 1};
 

@@ -264,7 +264,11 @@ void FrameServer::respond(std::uint64_t conn_id,
     if (it == conns_.end()) return;
   }
   Connection& conn = it->second;
-  conn.write_buf.insert(conn.write_buf.end(), frame.begin(), frame.end());
+  if (conn.write_buf.empty()) {
+    conn.write_buf = std::move(frame);  // the common case: nothing queued
+  } else {
+    conn.write_buf.insert(conn.write_buf.end(), frame.begin(), frame.end());
+  }
   flush_writes(conn);
 }
 

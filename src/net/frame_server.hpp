@@ -162,7 +162,7 @@ class FrameServer {
 
   // The loop thread is the module's one sanctioned std::thread: the epoll
   // reactor needs a dedicated runner, and common::parallel_for_workers is a
-  // fork-join helper, not a long-lived event thread.
+  // fork-join pool for chunked work, not a dedicated event thread.
   std::thread loop_thread_;  // lint-invariants: allow(raw-concurrency)
 
   mutable common::Mutex state_mutex_;

@@ -1,5 +1,6 @@
 #include "net/protocol.hpp"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -16,11 +17,6 @@ namespace {
 
 void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
   out.push_back(v);
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -45,6 +41,18 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof bits);
   put_u64(out, bits);
+}
+
+/// Appends a float block as consecutive little-endian f32 bit patterns:
+/// one memcpy on little-endian hosts, a byte loop elsewhere.
+void put_f32s(std::vector<std::uint8_t>& out, const std::vector<float>& vs) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const std::size_t at = out.size();
+    out.resize(at + vs.size() * sizeof(float));
+    std::memcpy(out.data() + at, vs.data(), vs.size() * sizeof(float));
+  } else {
+    for (float v : vs) put_f32(out, v);
+  }
 }
 
 void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
@@ -103,6 +111,18 @@ class Reader {
     return v;
   }
 
+  /// Fills every element of `out` from a block written by put_f32s.
+  void f32s(std::vector<float>& out) {
+    if constexpr (std::endian::native == std::endian::little) {
+      const std::size_t bytes = out.size() * sizeof(float);
+      need(bytes);
+      std::memcpy(out.data(), data_ + pos_, bytes);
+      pos_ += bytes;
+    } else {
+      for (float& v : out) v = f32();
+    }
+  }
+
   std::string string() {
     const std::uint32_t len = u32();
     need(len);
@@ -136,17 +156,31 @@ class Reader {
   const char* what_;
 };
 
-/// Prepends the frame header to an already-built payload.
-std::vector<std::uint8_t> frame(MessageType type,
-                                std::vector<std::uint8_t> payload) {
+/// A frame buffer with the header's bytes held in front of the payload,
+/// which the serializers then append; frame() fills the header in place,
+/// so a payload is never copied behind a fresh header.
+std::vector<std::uint8_t> frame_buffer(std::size_t payload_capacity = 0) {
   std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + payload.size());
-  put_u32(out, kFrameMagic);
-  put_u8(out, kProtocolVersion);
-  put_u8(out, static_cast<std::uint8_t>(type));
-  put_u16(out, 0);  // reserved
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  out.reserve(kHeaderBytes + payload_capacity);
+  out.resize(kHeaderBytes);
+  return out;
+}
+
+/// Writes the header into the bytes frame_buffer() held for it.
+std::vector<std::uint8_t> frame(MessageType type,
+                                std::vector<std::uint8_t> out) {
+  const auto store_le = [](std::uint8_t* at, std::uint32_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  std::uint8_t* header = out.data();
+  store_le(header, kFrameMagic, 4);
+  header[4] = kProtocolVersion;
+  header[5] = static_cast<std::uint8_t>(type);
+  store_le(header + 6, 0, 2);  // reserved
+  store_le(header + 8, static_cast<std::uint32_t>(out.size() - kHeaderBytes),
+           4);
   return out;
 }
 
@@ -238,7 +272,7 @@ FrameHeader decode_header(const std::uint8_t* data) {
 }
 
 std::vector<std::uint8_t> serialize(const RenderRequest& msg) {
-  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> payload = frame_buffer();
   put_u64(payload, msg.request_id);
   put_u32(payload, static_cast<std::uint32_t>(msg.width));
   put_u32(payload, static_cast<std::uint32_t>(msg.height));
@@ -281,8 +315,8 @@ RenderRequest deserialize_render_request(const std::uint8_t* data,
 }
 
 std::vector<std::uint8_t> serialize(const RenderResponse& msg) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(64 + msg.message.size() + msg.pixels.size() * 4);
+  std::vector<std::uint8_t> payload =
+      frame_buffer(64 + msg.message.size() + msg.pixels.size() * 4);
   put_u64(payload, msg.request_id);
   put_u8(payload, static_cast<std::uint8_t>(msg.status));
   put_u64(payload, msg.job_id);
@@ -294,7 +328,7 @@ std::vector<std::uint8_t> serialize(const RenderResponse& msg) {
   if (msg.has_image) {
     put_u32(payload, static_cast<std::uint32_t>(msg.image_width));
     put_u32(payload, static_cast<std::uint32_t>(msg.image_height));
-    for (float v : msg.pixels) put_f32(payload, v);
+    put_f32s(payload, msg.pixels);
   }
   return frame(MessageType::kRenderResponse, std::move(payload));
 }
@@ -330,18 +364,18 @@ RenderResponse deserialize_render_response(const std::uint8_t* data,
       throw ProtocolError("render-response image larger than its payload");
     }
     msg.pixels.resize(count);
-    for (float& v : msg.pixels) v = r.f32();
+    r.f32s(msg.pixels);
   }
   r.finish();
   return msg;
 }
 
 std::vector<std::uint8_t> serialize_stats_request() {
-  return frame(MessageType::kStatsRequest, {});
+  return frame(MessageType::kStatsRequest, frame_buffer());
 }
 
 std::vector<std::uint8_t> serialize(const StatsResponse& msg) {
-  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> payload = frame_buffer(4 + msg.json.size());
   put_string(payload, msg.json);
   return frame(MessageType::kStatsResponse, std::move(payload));
 }
@@ -356,7 +390,7 @@ StatsResponse deserialize_stats_response(const std::uint8_t* data,
 }
 
 std::vector<std::uint8_t> serialize_error(const std::string& message) {
-  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> payload = frame_buffer(4 + message.size());
   put_string(payload, message);
   return frame(MessageType::kError, std::move(payload));
 }

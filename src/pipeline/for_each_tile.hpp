@@ -1,4 +1,4 @@
-// The one driver that fans a frame's tiles across worker threads.
+// The one driver that fans a frame's tiles across the fork-join pool.
 //
 // Tile costs are far from uniform (a few central tiles can hold half of a
 // frame's splat-pixel pairs), so handing each worker a fixed share of tile
@@ -20,10 +20,11 @@
 namespace gaurast::pipeline {
 
 /// Calls body(worker, tile) exactly once for every tile in [0, tiles).
-/// Runs min(workers, tiles) workers, each tile claimed dynamically; worker
-/// indices are < that count. A lone worker runs the tiles in order on the
-/// calling thread (see common::parallel_for_workers). Bodies must not
-/// throw.
+/// Runs min(workers, tiles) workers as common::parallel_for_workers chunks
+/// on the caller and the pool, each tile claimed dynamically; worker
+/// indices are < that count, and no two threads run one worker index at
+/// once. A lone worker runs the tiles in order on the calling thread.
+/// Bodies must not throw.
 template <typename Body>
 void for_each_tile(std::uint32_t tiles, std::size_t workers, Body&& body) {
   workers = std::min<std::size_t>(workers, tiles);

@@ -1,8 +1,10 @@
 #include "pipeline/preprocess.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/parallel_for.hpp"
 #include "gsmath/fastmath.hpp"
 #include "gsmath/sh.hpp"
 
@@ -10,7 +12,10 @@ namespace gaurast::pipeline {
 
 namespace {
 constexpr float kNearPlane = 0.2f;  // matches the reference implementation
-}
+/// Fewest Gaussians per Step-1 chunk: below this a chunk costs more to hand
+/// out than it saves.
+constexpr std::size_t kMinGaussiansPerChunk = 256;
+}  // namespace
 
 ScenePrecompute precompute_scene(const scene::GaussianScene& scene,
                                  float alpha_min) {
@@ -74,27 +79,55 @@ ProjectOutcome project_gaussian(const scene::GaussianScene& scene,
 std::vector<Splat2D> preprocess(const scene::GaussianScene& scene,
                                 const scene::Camera& camera,
                                 PreprocessStats* stats,
-                                const ScenePrecompute* precompute) {
-  std::vector<Splat2D> splats;
-  splats.reserve(scene.size());
-  PreprocessStats local;
-  local.gaussians_in = scene.size();
-  for (std::size_t i = 0; i < scene.size(); ++i) {
-    Splat2D s;
-    switch (project_gaussian(scene, i, camera, s, precompute)) {
-      case ProjectOutcome::kVisible:
-        splats.push_back(s);
-        break;
-      case ProjectOutcome::kOutsideFrustum:
-        ++local.culled_frustum;
-        break;
-      case ProjectOutcome::kDegenerate:
-        ++local.culled_degenerate;
-        break;
+                                const ScenePrecompute* precompute,
+                                int num_threads) {
+  GAURAST_CHECK(num_threads >= 1);
+  const std::size_t n = scene.size();
+  const std::size_t chunks =
+      std::min(static_cast<std::size_t>(num_threads),
+               common::chunks_for(n, kMinGaussiansPerChunk));
+  // Each chunk projects a contiguous run of the scene into its own vector
+  // and counts its own culls, so joining them in chunk order gives the
+  // same splats and stats for any chunk count.
+  std::vector<std::vector<Splat2D>> parts(chunks);
+  std::vector<PreprocessStats> part_stats(chunks);
+  common::parallel_for_workers(chunks, [&](std::size_t c) {
+    const std::size_t begin = n * c / chunks;
+    const std::size_t end = n * (c + 1) / chunks;
+    std::vector<Splat2D>& out = parts[c];
+    PreprocessStats& counts = part_stats[c];
+    out.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      Splat2D s;
+      switch (project_gaussian(scene, i, camera, s, precompute)) {
+        case ProjectOutcome::kVisible:
+          out.push_back(s);
+          break;
+        case ProjectOutcome::kOutsideFrustum:
+          ++counts.culled_frustum;
+          break;
+        case ProjectOutcome::kDegenerate:
+          ++counts.culled_degenerate;
+          break;
+      }
     }
+  });
+
+  PreprocessStats total;
+  total.gaussians_in = n;
+  std::size_t visible = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    total.culled_frustum += part_stats[c].culled_frustum;
+    total.culled_degenerate += part_stats[c].culled_degenerate;
+    visible += parts[c].size();
   }
-  local.splats_out = splats.size();
-  if (stats) *stats = local;
+  std::vector<Splat2D> splats = std::move(parts[0]);
+  splats.reserve(visible);
+  for (std::size_t c = 1; c < chunks; ++c) {
+    splats.insert(splats.end(), parts[c].begin(), parts[c].end());
+  }
+  total.splats_out = splats.size();
+  if (stats) *stats = total;
   return splats;
 }
 

@@ -63,11 +63,14 @@ ScenePrecompute precompute_scene(const scene::GaussianScene& scene,
 /// scene order (the sort in Step 2 establishes depth order). `precompute`,
 /// when non-null, must have been built from `scene` and replaces the
 /// per-Gaussian covariance3d computation with a lookup (bit-identical
-/// output either way).
+/// output either way). With `num_threads` > 1 the scene is projected in up
+/// to that many contiguous chunks on the common::parallel_for_workers pool;
+/// splats and stats are byte-identical for any thread count.
 std::vector<Splat2D> preprocess(const scene::GaussianScene& scene,
                                 const scene::Camera& camera,
                                 PreprocessStats* stats = nullptr,
-                                const ScenePrecompute* precompute = nullptr);
+                                const ScenePrecompute* precompute = nullptr,
+                                int num_threads = 1);
 
 /// What project_gaussian did with one Gaussian. The culled outcomes are
 /// what PreprocessStats counts as culled_frustum and culled_degenerate.

@@ -81,8 +81,9 @@ struct RasterStats {
 };
 
 /// Per-thread scratch arena for the fast kernel's SoA tile staging. The
-/// vectors only ever grow, so a long-lived thread (a serve worker, the CLI
-/// main thread) stops allocating after its first frame — staging becomes a
+/// vectors only ever grow, so a long-lived thread (a serve worker, a
+/// fork-join pool thread, the CLI main thread) stops allocating after its
+/// first frame — staging becomes a
 /// copy into already-warm buffers instead of a per-tile malloc.
 struct RasterScratch {
   std::vector<float> mean_x, mean_y;

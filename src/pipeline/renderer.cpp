@@ -19,8 +19,8 @@ FrameResult GaussianRenderer::begin_frame(
   result.workload.grid.tile_size = config_.tile_size;
   result.workload.grid.width = camera.width();
   result.workload.grid.height = camera.height();
-  result.splats =
-      preprocess(scene, camera, &result.preprocess_stats, precompute);
+  result.splats = preprocess(scene, camera, &result.preprocess_stats,
+                             precompute, config_.num_threads);
   return result;
 }
 

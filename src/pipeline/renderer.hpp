@@ -24,9 +24,9 @@ struct RendererConfig {
   /// extension (see pipeline/sort.hpp), off by default to match the
   /// reference pipeline.
   CullingMode culling = CullingMode::kBoundingBox;
-  /// Host threads for Steps 2-3: Step 2 bins splat chunks and sorts tiles
-  /// across them, and Step 3 fans tiles across them. Both stages are
-  /// bit-identical for any thread count.
+  /// Host threads for Steps 1-3: Step 1 projects scene chunks across them,
+  /// Step 2 bins splat chunks and sorts tiles across them, and Step 3 fans
+  /// tiles across them. Every stage is bit-identical for any thread count.
   int num_threads = 1;
   /// Which Step-3 software kernel runs (see pipeline/rasterize.hpp);
   /// kReference is the scalar oracle, kFast the optimized bit-identical

@@ -22,15 +22,45 @@ GaussianScene::GaussianScene(int sh_degree) : sh_degree_(sh_degree) {
   GAURAST_CHECK(sh_degree >= 0 && sh_degree <= 3);
 }
 
-void GaussianScene::add(const Gaussian3D& g) {
-  GAURAST_CHECK_MSG(g.opacity >= 0.0f && g.opacity <= 1.0f,
-                    "opacity " << g.opacity << " out of [0,1]");
-  GAURAST_CHECK_MSG(
-      g.scale.x >= 0.0f && g.scale.y >= 0.0f && g.scale.z >= 0.0f,
-      "negative scale");
-  GAURAST_CHECK_MSG(std::isfinite(g.position.x) && std::isfinite(g.position.y) &&
-                        std::isfinite(g.position.z),
+namespace {
+
+/// The per-Gaussian invariants every way into a scene checks.
+void check_gaussian(Vec3f position, Vec3f scale, float opacity) {
+  GAURAST_CHECK_MSG(opacity >= 0.0f && opacity <= 1.0f,
+                    "opacity " << opacity << " out of [0,1]");
+  GAURAST_CHECK_MSG(scale.x >= 0.0f && scale.y >= 0.0f && scale.z >= 0.0f,
+                    "negative scale");
+  GAURAST_CHECK_MSG(std::isfinite(position.x) && std::isfinite(position.y) &&
+                        std::isfinite(position.z),
                     "non-finite position");
+}
+
+}  // namespace
+
+GaussianScene GaussianScene::from_columns(int sh_degree,
+                                          std::vector<Vec3f> positions,
+                                          std::vector<Vec3f> scales,
+                                          std::vector<Quatf> rotations,
+                                          std::vector<float> opacities,
+                                          std::vector<ShCoefficients> sh) {
+  const std::size_t n = positions.size();
+  GAURAST_CHECK(scales.size() == n && rotations.size() == n &&
+                opacities.size() == n && sh.size() == n);
+  GaussianScene scene(sh_degree);
+  for (std::size_t i = 0; i < n; ++i) {
+    check_gaussian(positions[i], scales[i], opacities[i]);
+    rotations[i] = rotations[i].normalized();
+  }
+  scene.positions_ = std::move(positions);
+  scene.scales_ = std::move(scales);
+  scene.rotations_ = std::move(rotations);
+  scene.opacities_ = std::move(opacities);
+  scene.sh_ = std::move(sh);
+  return scene;
+}
+
+void GaussianScene::add(const Gaussian3D& g) {
+  check_gaussian(g.position, g.scale, g.opacity);
   positions_.push_back(g.position);
   scales_.push_back(g.scale);
   rotations_.push_back(g.rotation.normalized());

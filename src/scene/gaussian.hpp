@@ -44,6 +44,16 @@ class GaussianScene {
   GaussianScene() = default;
   explicit GaussianScene(int sh_degree);
 
+  /// Builds a scene from whole columns, one entry per Gaussian in each.
+  /// add()'s checks and rotation normalization run as one pass over them,
+  /// so the result equals add()ing the same Gaussians in order.
+  static GaussianScene from_columns(int sh_degree,
+                                    std::vector<Vec3f> positions,
+                                    std::vector<Vec3f> scales,
+                                    std::vector<Quatf> rotations,
+                                    std::vector<float> opacities,
+                                    std::vector<ShCoefficients> sh);
+
   /// Appends one Gaussian; validates opacity/scale ranges.
   void add(const Gaussian3D& g);
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -15,9 +14,9 @@ namespace gaurast::scene {
 
 namespace {
 
-/// Fewest splats per worker in the SH fill: a scene below twice this is
+/// Fewest splats per chunk in the SH fill: a scene below twice this is
 /// filled on the calling thread (512 degree-3 splats are ~0.5 ms of draws).
-constexpr std::size_t kMinSplatsPerWorker = 512;
+constexpr std::size_t kMinSplatsPerChunk = 512;
 
 /// Crude Beta(alpha, beta) sampler via Johnk's algorithm — adequate for
 /// opacity shaping, not performance critical.
@@ -56,18 +55,16 @@ Quatf random_rotation(Pcg32& rng) {
 
 /// Draws every splat's view-dependent (AC) SH bands in place, each from the
 /// generator copy kept where its block starts in the serial stream. Splats
-/// are independent then, so a large scene splits them across workers.
+/// are independent then, so a large scene splits them into chunks.
 void fill_sh_ac(std::span<ShCoefficients> sh, const std::vector<Pcg32>& starts,
                 int degree, float ac_magnitude) {
   const std::size_t bands = sh_basis_count(degree);
   if (bands == 1) return;  // degree 0: DC only
   const std::size_t n = sh.size();
-  const std::size_t workers = std::max<std::size_t>(
-      1, std::min<std::size_t>(std::thread::hardware_concurrency(),
-                               n / kMinSplatsPerWorker));
-  common::parallel_for_workers(workers, [&](std::size_t w) {
-    const std::size_t end = n * (w + 1) / workers;
-    for (std::size_t i = n * w / workers; i < end; ++i) {
+  const std::size_t chunks = common::chunks_for(n, kMinSplatsPerChunk);
+  common::parallel_for_workers(chunks, [&](std::size_t c) {
+    const std::size_t end = n * (c + 1) / chunks;
+    for (std::size_t i = n * c / chunks; i < end; ++i) {
       Pcg32 rng = starts[i];
       for (std::size_t band = 1; band < bands; ++band) {
         sh[i][band] = Vec3f{static_cast<float>(rng.normal(0.0, ac_magnitude)),

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/half.hpp"
+#include "common/parallel_for.hpp"
 #include "gsmath/sh.hpp"
 
 namespace gaurast::scene {
@@ -34,6 +35,41 @@ float decode_component(std::uint32_t code) {
   const float s =
       static_cast<float>(code) * (2.0f / 1023.0f) - 1.0f;
   return s * kInvSqrt2;
+}
+
+/// Fewest splats per chunk when a whole scene is (de)quantized: below this
+/// a chunk costs more to hand out than it saves.
+constexpr std::size_t kMinSplatsPerChunk = 256;
+
+/// Sizes every array of `q` for `splats` splats.
+void resize(QuantizedScene& q, std::size_t splats) {
+  q.positions.resize(splats * 3);
+  q.scales.resize(splats * 3);
+  q.rotations.resize(splats);
+  q.opacities.resize(splats);
+  q.sh.resize(splats * sh_basis_count(q.sh_degree) * 3);
+}
+
+/// Quantizes one splat into slot `i` of arrays already sized for it.
+void encode_splat(QuantizedScene& q, std::size_t i, Vec3f position,
+                  Vec3f scale, const Quatf& rotation, float opacity,
+                  const ShCoefficients& sh) {
+  for (std::size_t axis = 0; axis < 3; ++axis) {
+    q.positions[i * 3 + axis] = to_half(position[axis]);
+    // Scales are >= 0 by the scene invariant; fp16 rounding of a
+    // non-negative float is non-negative, so the dequantized scene passes
+    // the same check.
+    q.scales[i * 3 + axis] = to_half(scale[axis]);
+  }
+  q.rotations[i] = pack_rotation(rotation.normalized());
+  q.opacities[i] = static_cast<std::uint8_t>(
+      std::lround(std::clamp(opacity, 0.0f, 1.0f) * 255.0f));
+  const std::size_t bands = sh_basis_count(q.sh_degree);
+  for (std::size_t band = 0; band < bands; ++band) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      q.sh[(i * bands + band) * 3 + c] = to_half(sh[band][c]);
+    }
+  }
 }
 
 }  // namespace
@@ -101,59 +137,60 @@ void QuantizedSceneBuilder::reserve(std::size_t splats) {
 }
 
 void QuantizedSceneBuilder::add(const Gaussian3D& g) {
-  scene_.positions.push_back(to_half(g.position.x));
-  scene_.positions.push_back(to_half(g.position.y));
-  scene_.positions.push_back(to_half(g.position.z));
-  // Scales are >= 0 by the scene invariant; fp16 rounding of a
-  // non-negative float is non-negative, so the dequantized scene passes
-  // the same check.
-  scene_.scales.push_back(to_half(g.scale.x));
-  scene_.scales.push_back(to_half(g.scale.y));
-  scene_.scales.push_back(to_half(g.scale.z));
-  scene_.rotations.push_back(pack_rotation(g.rotation.normalized()));
-  scene_.opacities.push_back(static_cast<std::uint8_t>(
-      std::lround(std::clamp(g.opacity, 0.0f, 1.0f) * 255.0f)));
-  const std::size_t bands = sh_basis_count(scene_.sh_degree);
-  for (std::size_t band = 0; band < bands; ++band) {
-    scene_.sh.push_back(to_half(g.sh[band].x));
-    scene_.sh.push_back(to_half(g.sh[band].y));
-    scene_.sh.push_back(to_half(g.sh[band].z));
-  }
+  const std::size_t i = scene_.size();
+  resize(scene_, i + 1);
+  encode_splat(scene_, i, g.position, g.scale, g.rotation, g.opacity, g.sh);
 }
 
 QuantizedScene QuantizedSceneBuilder::take() { return std::move(scene_); }
 
 QuantizedScene quantize(const GaussianScene& scene) {
-  QuantizedSceneBuilder builder(scene.sh_degree());
-  builder.reserve(scene.size());
-  for (std::size_t i = 0; i < scene.size(); ++i) {
-    builder.add(scene.gaussian(i));
-  }
-  return builder.take();
+  QuantizedScene q;
+  q.sh_degree = scene.sh_degree();
+  const std::size_t n = scene.size();
+  resize(q, n);
+  const std::size_t chunks = common::chunks_for(n, kMinSplatsPerChunk);
+  common::parallel_for_workers(chunks, [&](std::size_t c) {
+    const std::size_t end = n * (c + 1) / chunks;
+    for (std::size_t i = n * c / chunks; i < end; ++i) {
+      encode_splat(q, i, scene.positions()[i], scene.scales()[i],
+                   scene.rotations()[i], scene.opacities()[i],
+                   scene.sh()[i]);
+    }
+  });
+  return q;
 }
 
 GaussianScene dequantize(const QuantizedScene& q) {
-  GaussianScene scene(q.sh_degree);
-  scene.reserve(q.size());
+  const std::size_t n = q.size();
   const std::size_t bands = sh_basis_count(q.sh_degree);
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    Gaussian3D g;
-    g.position = {from_half(q.positions[i * 3 + 0]),
-                  from_half(q.positions[i * 3 + 1]),
-                  from_half(q.positions[i * 3 + 2])};
-    g.scale = {from_half(q.scales[i * 3 + 0]),
-               from_half(q.scales[i * 3 + 1]),
-               from_half(q.scales[i * 3 + 2])};
-    g.rotation = unpack_rotation(q.rotations[i]);
-    g.opacity = static_cast<float>(q.opacities[i]) / 255.0f;
-    for (std::size_t band = 0; band < bands; ++band) {
-      g.sh[band] = {from_half(q.sh[(i * bands + band) * 3 + 0]),
-                    from_half(q.sh[(i * bands + band) * 3 + 1]),
-                    from_half(q.sh[(i * bands + band) * 3 + 2])};
+  std::vector<Vec3f> positions(n);
+  std::vector<Vec3f> scales(n);
+  std::vector<Quatf> rotations(n);
+  std::vector<float> opacities(n);
+  std::vector<ShCoefficients> sh(n);  // bands above the degree stay zero
+  const std::size_t chunks = common::chunks_for(n, kMinSplatsPerChunk);
+  common::parallel_for_workers(chunks, [&](std::size_t c) {
+    const std::size_t end = n * (c + 1) / chunks;
+    for (std::size_t i = n * c / chunks; i < end; ++i) {
+      positions[i] = {from_half(q.positions[i * 3 + 0]),
+                      from_half(q.positions[i * 3 + 1]),
+                      from_half(q.positions[i * 3 + 2])};
+      scales[i] = {from_half(q.scales[i * 3 + 0]),
+                   from_half(q.scales[i * 3 + 1]),
+                   from_half(q.scales[i * 3 + 2])};
+      rotations[i] = unpack_rotation(q.rotations[i]);
+      opacities[i] = static_cast<float>(q.opacities[i]) / 255.0f;
+      for (std::size_t band = 0; band < bands; ++band) {
+        sh[i][band] = {from_half(q.sh[(i * bands + band) * 3 + 0]),
+                       from_half(q.sh[(i * bands + band) * 3 + 1]),
+                       from_half(q.sh[(i * bands + band) * 3 + 2])};
+      }
     }
-    scene.add(g);
-  }
-  return scene;
+  });
+  return GaussianScene::from_columns(q.sh_degree, std::move(positions),
+                                     std::move(scales), std::move(rotations),
+                                     std::move(opacities), std::move(sh));
 }
 
 }  // namespace gaurast::scene

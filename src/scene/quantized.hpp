@@ -69,8 +69,8 @@ std::uint32_t pack_rotation(const Quatf& q);
 Quatf unpack_rotation(std::uint32_t bits);
 
 /// Incremental quantizer: accepts splats one at a time so streaming ingest
-/// (chunked PLY reading) never holds a float copy of the whole scene. The
-/// only float->quantized conversion path in the tree.
+/// (chunked PLY reading) never holds a float copy of the whole scene. It
+/// and quantize() share one per-splat encoder, so both give the same bytes.
 class QuantizedSceneBuilder {
  public:
   explicit QuantizedSceneBuilder(int sh_degree);
@@ -86,12 +86,14 @@ class QuantizedSceneBuilder {
   QuantizedScene scene_;
 };
 
-/// Whole-scene quantization (generic SceneSource fallback path).
+/// Whole-scene quantization (generic SceneSource fallback path). Encodes
+/// contiguous splat chunks on the common::parallel_for_workers pool.
 QuantizedScene quantize(const GaussianScene& scene);
 
 /// Reconstructs the float working copy. Pure in the quantized bytes; the
-/// result passes GaussianScene::add validation by construction (opacity in
-/// [0,1], scales >= 0 and finite, positions finite).
+/// result passes GaussianScene's checks by construction (opacity in [0,1],
+/// scales >= 0 and finite, positions finite). Decodes contiguous splat
+/// chunks on the common::parallel_for_workers pool into whole columns.
 GaussianScene dequantize(const QuantizedScene& q);
 
 }  // namespace gaurast::scene

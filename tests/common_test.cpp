@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -219,7 +223,7 @@ float reference_half_bits_to_float(std::uint16_t bits) {
 
 TEST(Half, FloatToHalfMatchesReferenceForEveryFloat) {
   // All 2^32 bit patterns, NaN payloads included, split across the cores.
-  const std::size_t workers = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t workers = common::parallel_width();
   std::vector<std::uint64_t> mismatches(workers, 0);
   std::vector<std::uint32_t> first_mismatch(workers, 0);
   common::parallel_for_workers(workers, [&](std::size_t w) {
@@ -484,6 +488,88 @@ TEST(BarChart, EmptyAndZeroSafe) {
   EXPECT_NO_THROW(chart.print(os));
   chart.add_bar("zero", 0.0);
   EXPECT_NO_THROW(chart.print(os));
+}
+
+// ------------------------------------------------------- Fork-join pool --
+
+TEST(ParallelFor, EveryChunkRunsExactlyOnce) {
+  for (const std::size_t chunks : {1, 2, 3, 4, 7, 64}) {
+    std::vector<std::atomic<int>> runs(chunks);
+    common::parallel_for_workers(chunks, [&](std::size_t c) {
+      runs[c].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t c = 0; c < chunks; ++c) {
+      EXPECT_EQ(runs[c].load(), 1) << "chunk " << c << " of " << chunks;
+    }
+  }
+}
+
+TEST(ParallelFor, NestedCallCompletes) {
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kInner = 5;
+  std::vector<std::atomic<int>> runs(kOuter * kInner);
+  common::parallel_for_workers(kOuter, [&](std::size_t outer) {
+    common::parallel_for_workers(kInner, [&](std::size_t inner) {
+      runs[outer * kInner + inner].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (const std::atomic<int>& r : runs) EXPECT_EQ(r.load(), 1);
+}
+
+TEST(ParallelFor, CallReturnsWhileEveryPoolThreadIsHeld) {
+  // One call holds the caller and every pool thread in 500 ms chunks. A
+  // second call must not wait for them: it runs its own chunks.
+  using Clock = std::chrono::steady_clock;
+  const std::size_t width = common::parallel_width();
+  std::atomic<std::size_t> held{0};
+  std::thread holder([&] {
+    common::parallel_for_workers(width, [&](std::size_t) {
+      held.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    });
+  });
+  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(10);
+  while (held.load() < width && Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(held.load(), width);
+
+  std::vector<int> runs(4, 0);
+  const Clock::time_point start = Clock::now();
+  common::parallel_for_workers(runs.size(),
+                               [&](std::size_t c) { ++runs[c]; });
+  const double ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+  holder.join();
+  EXPECT_EQ(runs, std::vector<int>(4, 1));
+  EXPECT_LT(ms, 250.0);
+}
+
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(begin(tasks), std::filesystem::directory_iterator{}));
+}
+
+TEST(ParallelFor, CallsStartNoThreads) {
+  std::atomic<int> sum{0};
+  const auto call = [&] {
+    common::parallel_for_workers(4, [&](std::size_t c) {
+      sum.fetch_add(static_cast<int>(c), std::memory_order_relaxed);
+    });
+  };
+  call();  // starts the pool
+  const std::size_t before = live_threads();
+  std::size_t most = 0;
+  for (int i = 0; i < 100; ++i) {
+    common::parallel_for_workers(4, [&](std::size_t c) {
+      if (c == 0) most = std::max(most, live_threads());
+    });
+    call();
+  }
+  EXPECT_EQ(live_threads(), before);
+  EXPECT_EQ(most, before) << "a call ran with more threads than the pool";
+  EXPECT_EQ(sum.load(), 101 * 6);
 }
 
 // --------------------------------------------------------------- Error --

@@ -365,6 +365,7 @@ TEST(HwTriangle, OffscreenLeftOrAboveBinsToNoTile) {
     EXPECT_EQ(r.pairs_evaluated, 0u);
     EXPECT_TRUE(r.tile_loads.empty());
     EXPECT_EQ(r.counters.primitives, 0u);
+    EXPECT_EQ(r.counters, OpCounts{});  // no setup for an unbinned triangle
     EXPECT_EQ(r.timing.makespan_cycles, 0u);
     EXPECT_EQ(r.image.max_abs_diff(Image(64, 48, bg)), 0.0f);
   }

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -232,6 +233,42 @@ TEST(Protocol, RenderResponseRoundTripBitExactPixels) {
   EXPECT_EQ(std::memcmp(back.pixels.data(), resp.pixels.data(),
                         resp.pixels.size() * sizeof(float)),
             0);
+}
+
+TEST(Protocol, RenderResponsePixelsKeepEveryBitPatternLittleEndian) {
+  // NaN payloads (quiet, signaling, negative), -0.0, subnormals and +-inf.
+  const std::vector<std::uint32_t> bits = {
+      0x7fc00001u, 0x7f800001u, 0xffc12345u, 0x80000000u,
+      0x00000001u, 0x807fffffu, 0x7f800000u, 0xff800000u,
+      0x3f800000u};
+  RenderResponse resp;
+  resp.status = RenderStatus::kOk;
+  resp.has_image = true;
+  resp.image_width = 3;
+  resp.image_height = 1;
+  for (const std::uint32_t b : bits) {
+    resp.pixels.push_back(std::bit_cast<float>(b));
+  }
+
+  const auto frame = serialize(resp);
+  // The pixel block closes the frame, each float's bits little-endian.
+  const std::size_t block = frame.size() - bits.size() * 4;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    for (std::size_t byte = 0; byte < 4; ++byte) {
+      EXPECT_EQ(frame[block + i * 4 + byte],
+                static_cast<std::uint8_t>(bits[i] >> (8 * byte)))
+          << "pixel " << i << " byte " << byte;
+    }
+  }
+  const FrameHeader header = decode_header(frame.data());
+  EXPECT_EQ(header.payload_size, frame.size() - kHeaderBytes);
+  const RenderResponse back = deserialize_render_response(
+      frame.data() + kHeaderBytes, header.payload_size);
+  ASSERT_EQ(back.pixels.size(), bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(back.pixels[i]), bits[i])
+        << "pixel " << i;
+  }
 }
 
 TEST(Protocol, StatsAndErrorRoundTrip) {

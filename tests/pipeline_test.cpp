@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -78,6 +80,37 @@ TEST(Preprocess, BehindCameraIsCulled) {
 TEST(Preprocess, EmptySceneYieldsNoSplats) {
   const auto splats = preprocess(scene::GaussianScene(3), test_camera());
   EXPECT_TRUE(splats.empty());
+}
+
+TEST(Preprocess, ByteIdenticalAtEveryThreadCount) {
+  // Enough Gaussians for one chunk per core; the orbit camera culls some
+  // by the frustum, so every chunk's counts feed the joined stats.
+  const auto gscene = small_scene(3980, 9);
+  const scene::Camera cam = test_cameras(3)[1];
+  const auto bits = [](const std::vector<Splat2D>& splats) {
+    std::vector<std::uint32_t> out;
+    for (const Splat2D& s : splats) {
+      for (const float f : {s.mean.x, s.mean.y, s.conic.a, s.conic.b,
+                            s.conic.c, s.opacity, s.color.x, s.color.y,
+                            s.color.z, s.depth, s.radius}) {
+        out.push_back(std::bit_cast<std::uint32_t>(f));
+      }
+      out.push_back(s.source_id);
+    }
+    return out;
+  };
+  PreprocessStats serial_stats;
+  const auto serial = preprocess(gscene, cam, &serial_stats);
+  ASSERT_GT(serial_stats.culled_frustum, 0u);
+  for (int threads = 1; threads <= 4; ++threads) {
+    PreprocessStats stats;
+    const auto splats = preprocess(gscene, cam, &stats, nullptr, threads);
+    EXPECT_EQ(bits(splats), bits(serial)) << threads << " threads";
+    EXPECT_EQ(stats.gaussians_in, serial_stats.gaussians_in);
+    EXPECT_EQ(stats.culled_frustum, serial_stats.culled_frustum);
+    EXPECT_EQ(stats.culled_degenerate, serial_stats.culled_degenerate);
+    EXPECT_EQ(stats.splats_out, serial_stats.splats_out);
+  }
 }
 
 TEST(ProjectGaussian, DepthIsViewZ) {

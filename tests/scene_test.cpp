@@ -1,17 +1,22 @@
-// Tests for the Gaussian scene container, cameras, profiles and the
-// synthetic generator.
+// Tests for the Gaussian scene container, cameras, profiles, the
+// synthetic generator and the chunked whole-scene (de)quantizers.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/half.hpp"
 #include "scene/camera.hpp"
 #include "scene/gaussian.hpp"
 #include "scene/generator.hpp"
 #include "scene/profile.hpp"
+#include "scene/quantized.hpp"
 
 namespace gaurast::scene {
 namespace {
@@ -23,6 +28,19 @@ Gaussian3D make_valid_gaussian() {
   g.opacity = 0.5f;
   g.sh[0] = {0.1f, 0.2f, 0.3f};
   return g;
+}
+
+/// Bitwise equality over every attribute array.
+bool scenes_identical(const GaussianScene& a, const GaussianScene& b) {
+  if (a.size() != b.size() || a.sh_degree() != b.sh_degree()) return false;
+  const auto bytes_eq = [](const auto& x, const auto& y) {
+    return x.empty() ||
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(x[0])) == 0;
+  };
+  return bytes_eq(a.positions(), b.positions()) &&
+         bytes_eq(a.scales(), b.scales()) &&
+         bytes_eq(a.rotations(), b.rotations()) &&
+         bytes_eq(a.opacities(), b.opacities()) && bytes_eq(a.sh(), b.sh());
 }
 
 // --------------------------------------------------------------- Scene --
@@ -61,6 +79,21 @@ TEST(GaussianScene, RejectsNegativeScaleAndNonFinitePosition) {
   g = make_valid_gaussian();
   g.position.y = std::numeric_limits<float>::infinity();
   EXPECT_THROW(scene.add(g), Error);
+}
+
+TEST(GaussianScene, FromColumnsMatchesAddAndKeepsItsChecks) {
+  Gaussian3D g = make_valid_gaussian();
+  g.rotation = {2.0f, 0.0f, 0.0f, 0.0f};  // normalized on the way in
+  GaussianScene added(3);
+  added.add(g);
+  const auto columns = [&g](float opacity, std::size_t scales) {
+    return GaussianScene::from_columns(
+        3, {g.position}, std::vector<Vec3f>(scales, g.scale), {g.rotation},
+        {opacity}, {g.sh});
+  };
+  EXPECT_TRUE(scenes_identical(columns(g.opacity, 1), added));
+  EXPECT_THROW(columns(1.5f, 1), Error);
+  EXPECT_THROW(columns(g.opacity, 2), Error);  // columns of unequal length
 }
 
 TEST(GaussianScene, InvalidShDegreeThrows) {
@@ -400,6 +433,61 @@ TEST(Generator, InvalidFractionsThrow) {
   params.object_fraction = 0.8;
   params.ground_fraction = 0.3;
   EXPECT_THROW(generate_scene(params), Error);
+}
+
+// -------------------------------------------------------- Quantization --
+
+/// The per-splat dequantization the chunked column fill replaced: one
+/// Gaussian3D and one add() per splat.
+GaussianScene dequantize_per_splat(const QuantizedScene& q) {
+  GaussianScene scene(q.sh_degree);
+  const std::size_t bands = sh_basis_count(q.sh_degree);
+  const auto vec = [](const std::vector<std::uint16_t>& bits, std::size_t at) {
+    return Vec3f{half_bits_to_float(bits[at]), half_bits_to_float(bits[at + 1]),
+                 half_bits_to_float(bits[at + 2])};
+  };
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    Gaussian3D g;
+    g.position = vec(q.positions, i * 3);
+    g.scale = vec(q.scales, i * 3);
+    g.rotation = unpack_rotation(q.rotations[i]);
+    g.opacity = static_cast<float>(q.opacities[i]) / 255.0f;
+    for (std::size_t band = 0; band < bands; ++band) {
+      g.sh[band] = vec(q.sh, (i * bands + band) * 3);
+    }
+    scene.add(g);
+  }
+  return scene;
+}
+
+TEST(Quantized, ChunkedPathsMatchPerSplatPaths) {
+  // From one chunk (under 512 splats) to one per core.
+  for (const std::uint64_t count : {1, 255, 256, 257, 513, 769, 1025, 3980}) {
+    for (const int degree : {0, 1, 3}) {
+      GeneratorParams params;
+      params.gaussian_count = count;
+      params.seed = 5;
+      params.sh_degree = degree;
+      const GaussianScene scene = generate_scene(params);
+      QuantizedSceneBuilder builder(degree);
+      for (std::size_t i = 0; i < scene.size(); ++i) {
+        builder.add(scene.gaussian(i));
+      }
+      const QuantizedScene per_splat = builder.take();
+      const QuantizedScene chunked = quantize(scene);
+      const std::string at = std::to_string(count) + " splats, degree " +
+                             std::to_string(degree);
+      EXPECT_EQ(chunked.sh_degree, per_splat.sh_degree) << at;
+      EXPECT_EQ(chunked.positions, per_splat.positions) << at;
+      EXPECT_EQ(chunked.scales, per_splat.scales) << at;
+      EXPECT_EQ(chunked.rotations, per_splat.rotations) << at;
+      EXPECT_EQ(chunked.opacities, per_splat.opacities) << at;
+      EXPECT_EQ(chunked.sh, per_splat.sh) << at;
+      EXPECT_TRUE(
+          scenes_identical(dequantize(chunked), dequantize_per_splat(chunked)))
+          << at;
+    }
+  }
 }
 
 }  // namespace
