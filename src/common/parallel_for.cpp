@@ -63,14 +63,9 @@ class Pool {
       MutexLock lock(mutex_);
       calls_.push_back(&call);
     }
-    // Wake one pool thread per chunk beyond the caller's own; when that is
-    // all of them, one broadcast costs one futex call instead of several.
+    // Wake one pool thread per chunk beyond the caller's own.
     const std::size_t helpers = std::min(chunks - 1, threads_.size());
-    if (helpers == threads_.size()) {
-      posted_.notify_all();
-    } else {
-      for (std::size_t i = 0; i < helpers; ++i) posted_.notify_one();
-    }
+    for (std::size_t i = 0; i < helpers; ++i) posted_.notify_one();
 
     call.run_from(call.claim());
     {

@@ -11,9 +11,12 @@ namespace gaurast::net {
 
 namespace {
 
-// Little-endian byte packing. memcpy through fixed-width integers keeps the
-// encoding identical across hosts (and is the only strict-aliasing-safe way
-// to reinterpret float bits).
+// Little-endian byte packing. memcpy through fixed-width integers is the
+// only strict-aliasing-safe way to reinterpret float bits. Float blocks are
+// copied in the host's byte order, which, as in ply_io.cpp and trace.cpp,
+// is assumed to be little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "the wire's float blocks are copied in host byte order");
 
 void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
   out.push_back(v);
@@ -43,16 +46,12 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
   put_u64(out, bits);
 }
 
-/// Appends a float block as consecutive little-endian f32 bit patterns:
-/// one memcpy on little-endian hosts, a byte loop elsewhere.
+/// Appends a float block as consecutive little-endian f32 bit patterns, the
+/// host's own layout, with one memcpy.
 void put_f32s(std::vector<std::uint8_t>& out, const std::vector<float>& vs) {
-  if constexpr (std::endian::native == std::endian::little) {
-    const std::size_t at = out.size();
-    out.resize(at + vs.size() * sizeof(float));
-    std::memcpy(out.data() + at, vs.data(), vs.size() * sizeof(float));
-  } else {
-    for (float v : vs) put_f32(out, v);
-  }
+  const std::size_t at = out.size();
+  out.resize(at + vs.size() * sizeof(float));
+  std::memcpy(out.data() + at, vs.data(), vs.size() * sizeof(float));
 }
 
 void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
@@ -113,14 +112,10 @@ class Reader {
 
   /// Fills every element of `out` from a block written by put_f32s.
   void f32s(std::vector<float>& out) {
-    if constexpr (std::endian::native == std::endian::little) {
-      const std::size_t bytes = out.size() * sizeof(float);
-      need(bytes);
-      std::memcpy(out.data(), data_ + pos_, bytes);
-      pos_ += bytes;
-    } else {
-      for (float& v : out) v = f32();
-    }
+    const std::size_t bytes = out.size() * sizeof(float);
+    need(bytes);
+    std::memcpy(out.data(), data_ + pos_, bytes);
+    pos_ += bytes;
   }
 
   std::string string() {
